@@ -10,7 +10,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,18 +31,25 @@ class ClaError(RuntimeError):
 class GridOracle:
     """Squared-voltage oracle backed by the power flow solver.
 
-    Given a time step and per-EV charging states, returns the map of squared
-    voltage magnitudes at every node. Tests may substitute any object with
-    the same ``node_voltages`` signature (e.g. an exactly-affine response).
+    Given a time step and per-EV charging states, returns the read-only map
+    of squared voltage magnitudes at every node. Results are memoized per
+    (t, states), so each distinct pair costs one power flow per oracle.
+    Tests may substitute any object with the same ``node_voltages``
+    signature (e.g. an exactly-affine response).
     """
 
     def __init__(self, scenario: ScenarioData):
         self.scenario = scenario
+        self._memo: Dict[Tuple[int, bytes], Mapping[NodeId, float]] = {}
 
-    def node_voltages(self, t: int, ev_states: Sequence[bool]) -> Dict[NodeId, float]:
-        snap = powerflow.snapshot_for(self.scenario, t, ev_states)
-        sol = powerflow.solve_pf(self.scenario.network, snap).require_converged()
-        return sol.v2
+    def node_voltages(self, t: int, ev_states: Sequence[bool]) -> Mapping[NodeId, float]:
+        key = (t, np.asarray(ev_states, dtype=bool).tobytes())
+        v2 = self._memo.get(key)
+        if v2 is None:
+            snap = powerflow.snapshot_for(self.scenario, t, ev_states)
+            sol = powerflow.solve_pf(self.scenario.network, snap).require_converged()
+            v2 = self._memo[key] = MappingProxyType(sol.v2)
+        return v2
 
 
 @dataclass
@@ -58,7 +66,7 @@ class SampleSet:
     p_matrix: np.ndarray  # float, |buses| x M
     targets: Dict[Tuple[NodeId, int], np.ndarray] = field(default_factory=dict)
     seed: Optional[int] = None
-    _vcache: Dict[Tuple[int, int], Dict[NodeId, float]] = field(default_factory=dict)
+    _vcache: Dict[Tuple[int, int], Mapping[NodeId, float]] = field(default_factory=dict)
 
     @property
     def M(self) -> int:
@@ -157,10 +165,6 @@ class ClaFunction:
                 f"demand vector has shape {p_ev.shape}, expected {self.a1.shape}"
             )
         return float(self.a0 + self.a1 @ p_ev)
-
-
-def predict(f: ClaFunction, p_ev: np.ndarray) -> float:
-    return f.predict(p_ev)
 
 
 def fit_cla(samples: SampleSet, node: NodeId, t: int, sense: str) -> ClaFunction:

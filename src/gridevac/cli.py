@@ -378,17 +378,13 @@ def _solve_naive(scn: netmodel.ScenarioData) -> congen.CongenResult:
               type=int, help="Constraint-generation iteration cap.")
 @click.option("--naive", is_flag=True,
               help="Solve without any grid constraints (grid-blind schedule).")
-@click.option("--jobs", default=1, show_default=True, type=int,
-              help="Worker cap for internal parallelism.")
 @click.option("--external-solver", is_flag=True,
               help="Solve MILPs via the GRIDEVAC_SOLVER_CMD external command.")
 @click.option("--timing", is_flag=True,
               help="Record wall-clock seconds in trace.csv (breaks byte-identical reruns).")
 def solve(network, loads, evs, tazs, config, out, seed, m_samples, lambda_max,
-          max_iters, naive, jobs, external_solver, timing):
+          max_iters, naive, external_solver, timing):
     """Run the constraint-generation pipeline and write schedule artifacts."""
-    if jobs < 1:
-        raise CliError(f"--jobs must be >= 1, got {jobs}")
     scn = _load_scenario(network, loads, evs, tazs, config)
     if lambda_max is not None:
         scn = congen._with_lambda(scn, lambda_max)
@@ -423,18 +419,14 @@ def solve(network, loads, evs, tazs, config, out, seed, m_samples, lambda_max,
               help="Comma-separated violation budgets, ascending.")
 @click.option("--max-iters", default=congen.DEFAULT_MAX_ITERS, show_default=True,
               type=int, help="Constraint-generation iteration cap per budget.")
-@click.option("--jobs", default=1, show_default=True, type=int,
-              help="Worker cap for internal parallelism.")
 @click.option("--external-solver", is_flag=True,
               help="Solve MILPs via the GRIDEVAC_SOLVER_CMD external command.")
 @click.option("--timing", is_flag=True,
               help="Record wall-clock seconds in traces (breaks byte-identical reruns).")
 def sweep(network, loads, evs, tazs, config, out, seed, m_samples, lambdas,
-          max_iters, jobs, external_solver, timing):
+          max_iters, external_solver, timing):
     """One constraint-generation run per budget; writes sweep.csv and per-budget
     subdirectories."""
-    if jobs < 1:
-        raise CliError(f"--jobs must be >= 1, got {jobs}")
     try:
         values = [float(s) for s in lambdas.split(",") if s.strip() != ""]
     except ValueError as exc:

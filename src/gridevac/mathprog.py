@@ -167,7 +167,6 @@ def _standardize(prog: Program, bound_override: Optional[Dict[str, Tuple[float, 
     sense_flip = 1.0 if prog.sense == "min" else -1.0
 
     var_map: List[tuple] = []
-    cols: List[Tuple[int, float]] = []  # not used; columns tracked via var_map
     ncol = 0
     extra_rows: List[Tuple[Dict[int, float], float]] = []  # upper-bound rows on std cols
     obj_const = 0.0

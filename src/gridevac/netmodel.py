@@ -11,6 +11,7 @@ import csv
 import json
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -132,6 +133,8 @@ class NetworkModel:
                         f"{line.from_bus}-{line.to_bus} lacks phase {p!r}"
                     )
         object.__setattr__(self, "_bus_map", bus_map)
+        object.__setattr__(self, "_order", tuple(order))
+        object.__setattr__(self, "_parent", parent)
 
     def _bfs(self) -> Tuple[List[str], Dict[str, Line]]:
         adj: Dict[str, List[Line]] = defaultdict(list)
@@ -159,15 +162,88 @@ class NetworkModel:
     @property
     def bus_order(self) -> List[str]:
         """Bus ids in breadth-first order from the source."""
-        return self._bfs()[0]
+        return list(self._order)
 
     @property
     def parent_lines(self) -> Dict[str, Line]:
         """Map from non-source bus id to the line connecting it toward the source."""
-        return self._bfs()[1]
+        return dict(self._parent)
 
     def nodes(self) -> List[NodeId]:
         return [NodeId(b.id, p) for b in self.buses for p in b.phases]
+
+    @cached_property
+    def arrays(self) -> "FeederArrays":
+        """The feeder compiled to arrays, built on first use."""
+        return FeederArrays.compile(self)
+
+
+@dataclass(frozen=True, eq=False)
+class FeederArrays:
+    """A radial feeder as arrays over its buses in breadth-first order.
+
+    Row i of every per-bus array is bus ``buses[i]`` (row 0 is the source),
+    padded to the three phases a/b/c; node (i, p) sits at flat position
+    ``3 * i + PHASES.index(p)`` of a (buses, 3) array. Absent phases carry no
+    impedance and start at the source phasor, so they draw no current.
+    """
+    buses: Tuple[str, ...]
+    parent: np.ndarray  # int (n,): row of the bus toward the source, -1 at the source
+    mask: np.ndarray  # bool (n, 3): phase present at the bus
+    z: np.ndarray  # complex (n, 3, 3): impedance of the line into each bus; 0 at the source
+    flat: np.ndarray  # complex (n, 3): flat start, the source phasors on every row
+    # (child rows, parent rows) pairs whose parents are distinct, ordered so
+    # that adding each child's value into its parent sums every subtree leaves
+    # first and siblings in breadth-first order: the order of a bus-by-bus
+    # sweep, so the sums round alike.
+    backward: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+    # (rows, parent rows), one pair per depth from the source outward.
+    forward: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+    # Flat position of each present node, by bus row then the bus's phase
+    # order; ``take`` holds the same positions as an array.
+    node_pos: Dict[NodeId, int]
+    take: np.ndarray
+
+    @classmethod
+    def compile(cls, net: "NetworkModel") -> "FeederArrays":
+        buses = net._order
+        row = {b: i for i, b in enumerate(buses)}
+        n = len(buses)
+        parent = np.full(n, -1, dtype=int)
+        depth = np.zeros(n, dtype=int)
+        rank = np.zeros(n, dtype=int)  # position among its siblings
+        n_children = np.zeros(n, dtype=int)
+        mask = np.zeros((n, 3), dtype=bool)
+        z = np.zeros((n, 3, 3), dtype=complex)
+        for i, b in enumerate(buses):
+            for p in net.bus(b).phases:
+                mask[i, PHASES.index(p)] = True
+            line = net._parent.get(b)
+            if line is not None:
+                up = row[line.from_bus if line.to_bus == b else line.to_bus]
+                parent[i], depth[i] = up, depth[up] + 1
+                rank[i] = n_children[up]
+                n_children[up] += 1
+                ph = [PHASES.index(p) for p in line.phases]
+                z[i][np.ix_(ph, ph)] = line.z_pu
+        def rows_and_parents(sel):
+            # A single row as a plain int, so numpy indexes a view, not a copy.
+            rows = np.nonzero(sel)[0]
+            if rows.size == 1:
+                return int(rows[0]), int(parent[rows[0]])
+            return rows, parent[rows]
+
+        backward = [rows_and_parents((depth == d) & (rank == r))
+                    for d in range(depth.max(), 0, -1)
+                    for r in range(rank[depth == d].max() + 1)]
+        forward = [rows_and_parents(depth == d) for d in range(1, depth.max() + 1)]
+        source = [net.source_voltage.get(p, 1.0) for p in PHASES]
+        node_pos = {NodeId(b, p): 3 * i + PHASES.index(p)
+                    for i, b in enumerate(buses) for p in net.bus(b).phases}
+        return cls(buses=buses, parent=parent, mask=mask, z=z,
+                   flat=np.tile(np.array(source, dtype=complex), (n, 1)),
+                   backward=tuple(backward), forward=tuple(forward), node_pos=node_pos,
+                   take=np.fromiter(node_pos.values(), dtype=int, count=len(node_pos)))
 
 
 @dataclass(frozen=True)
@@ -228,6 +304,14 @@ class ScenarioData:
                 raise ScenarioError(f"background load at unknown node {node}")
             if not 1 <= t <= self.T:
                 raise ScenarioError(f"background load at t={t} outside 1..{self.T}")
+
+    @cached_property
+    def loads_by_t(self) -> Dict[int, Dict[NodeId, complex]]:
+        """Background demand grouped by time step, built on first use."""
+        out: Dict[int, Dict[NodeId, complex]] = defaultdict(dict)
+        for (node, t), s in self.background.items():
+            out[t][node] = out[t].get(node, 0j) + s
+        return dict(out)
 
     @property
     def rate_pu(self) -> float:

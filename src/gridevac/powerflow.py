@@ -1,4 +1,4 @@
-"""Unbalanced radial power flow (forward-backward sweep) and schedule simulation.
+"""Unbalanced radial power flow (batched forward-backward sweep) and schedule simulation.
 
 Plays the role of the external circuit simulator: computes squared voltage
 magnitudes for injection snapshots, runs time-series simulations of charge
@@ -8,14 +8,15 @@ schedules, and scores actual voltage-bound violations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .netmodel import NetworkModel, NodeId, ScenarioData
+from .netmodel import FeederArrays, NetworkModel, NodeId, ScenarioData
 
 PF_TOL = 1e-8
 PF_MAX_ITER = 100
+COLLAPSE_V = 1e-12  # a voltage magnitude below this stops the sweep
 
 
 class PowerFlowError(RuntimeError):
@@ -66,137 +67,128 @@ class ViolationReport:
         return len(self.entries)
 
 
-def violation_total(report: ViolationReport) -> float:
-    return report.total
+@dataclass
+class SweepResult:
+    """Outcome of one batched sweep, one entry per snapshot."""
+    arrays: FeederArrays
+    volts: np.ndarray  # complex (B, buses, 3), layout of ``arrays``
+    converged: np.ndarray  # bool (B,)
+    iterations: np.ndarray  # int (B,)
+    mismatch: np.ndarray  # float (B,): largest voltage change of the last sweep
+    collapsed: List[Optional[str]]  # bus where a sweep met a zero voltage, else None
+
+    def solution(self, b: int) -> VoltageSolution:
+        """Snapshot ``b`` as a VoltageSolution; raises if its sweep collapsed."""
+        if self.collapsed[b] is not None:
+            raise PowerFlowError(f"voltage collapse at bus {self.collapsed[b]} during sweep")
+        fa = self.arrays
+        phasors = self.volts[b].ravel()[fa.take].tolist()
+        return VoltageSolution(
+            phasors=dict(zip(fa.node_pos, phasors)),
+            v2=dict(zip(fa.node_pos, [abs(v) ** 2 for v in phasors])),
+            converged=bool(self.converged[b]), iterations=int(self.iterations[b]),
+            mismatch=float(self.mismatch[b]))
+
+
+def demand_array(net: NetworkModel, snapshots: Sequence[InjectionSnapshot]) -> np.ndarray:
+    """Stack the snapshots' demand as a complex (B, buses, 3) array in the
+    layout of ``net.arrays``. Demand at nodes absent from the network is
+    ignored."""
+    fa = net.arrays
+    out = np.zeros((len(snapshots), fa.flat.size), dtype=complex)
+    for b, snap in enumerate(snapshots):
+        for node, s in snap.demand.items():
+            pos = fa.node_pos.get(node)
+            if pos is not None:
+                out[b, pos] = s
+    return out.reshape(len(snapshots), -1, 3)
+
+
+def _subtree_currents(fa: FeederArrays, current: np.ndarray) -> np.ndarray:
+    """Backward pass, in place on bus currents indexed by bus first:
+    afterwards each bus's entry holds the current through the line into it
+    (at the source, the total drawn)."""
+    for kids, ups in fa.backward:
+        current[ups] += current[kids]
+    return current
+
+
+def sweep(net: NetworkModel, demand: np.ndarray, tol: float = PF_TOL,
+          max_iter: int = PF_MAX_ITER) -> SweepResult:
+    """Forward-backward sweep of a batch of snapshots, each from a flat start.
+
+    ``demand`` is a complex (B, buses, 3) array as built by ``demand_array``.
+    The backward pass accumulates load currents conj(S / V) from the leaves
+    toward the source; the forward pass propagates voltage drops through the
+    full phase impedance blocks, which captures mutual coupling between
+    phases. Each pass runs one array operation over the whole batch per
+    depth of the feeder (backward: per depth and sibling). A snapshot stops at the first sweep whose largest
+    voltage change is at most ``tol`` and leaves the batch, as does one whose
+    voltage reaches zero (recorded in ``collapsed``).
+    """
+    fa = net.arrays
+    demand = np.asarray(demand, dtype=complex).reshape(-1, *fa.flat.shape)
+    B = demand.shape[0]
+    volts = np.empty_like(demand)  # each snapshot is written once, when it stops
+    converged = np.zeros(B, dtype=bool)
+    iterations = np.full(B, max_iter)
+    mismatch = np.full(B, np.inf)
+    collapsed: List[Optional[str]] = [None] * B
+    # Working arrays are (buses, active snapshots, 3): indexing a bus is then
+    # a view over the batch.
+    active = np.arange(B)
+    s = demand.transpose(1, 0, 2).copy()
+    v = np.repeat(fa.flat[:, None], B, axis=1)
+    z = fa.z[:, None]
+    mask = fa.mask[:, None]
+    for it in range(1, max_iter + 1):
+        low = (np.abs(v) < COLLAPSE_V) & mask
+        if low.any():
+            bad = low.any(axis=(0, 2))
+            for a in np.nonzero(bad)[0]:
+                rows = np.nonzero(low[:, a].any(axis=1))[0]
+                collapsed[active[a]] = fa.buses[rows[-1]]  # last in BFS order
+            volts[active[bad]] = v[:, bad].swapaxes(0, 1)
+            active, v, s = active[~bad], v[:, ~bad], s[:, ~bad]
+        if not active.size:
+            break
+        current = _subtree_currents(fa, np.conj(s / v))
+        drop = np.matmul(z, current[..., None])[..., 0]
+        v_new = v.copy()
+        for rows, ups in fa.forward:
+            v_new[rows] = v_new[ups] - drop[rows]
+        step = np.abs(v_new - v).max(axis=(0, 2))
+        v = v_new
+        mismatch[active] = step
+        done = step <= tol
+        if done.any():
+            volts[active[done]] = v[:, done].swapaxes(0, 1)
+            converged[active[done]] = True
+            iterations[active[done]] = it
+            active, v, s = active[~done], v[:, ~done], s[:, ~done]
+    volts[active] = v.swapaxes(0, 1)
+    return SweepResult(arrays=fa, volts=volts, converged=converged, iterations=iterations,
+                       mismatch=mismatch, collapsed=collapsed)
 
 
 def solve_pf(net: NetworkModel, snapshot: InjectionSnapshot,
              tol: float = PF_TOL, max_iter: int = PF_MAX_ITER) -> VoltageSolution:
-    """Forward-backward sweep from a flat start.
-
-    Backward pass accumulates branch currents from the leaves toward the
-    source; forward pass propagates voltage drops through the full phase
-    impedance blocks, which captures mutual coupling between phases.
-    """
-    order = net.bus_order
-    parent = net.parent_lines
-    children: Dict[str, List[str]] = {b.id: [] for b in net.buses}
-    for child, line in parent.items():
-        up = line.from_bus if line.to_bus == child else line.to_bus
-        children[up].append(child)
-
-    phase_of = {b.id: list(b.phases) for b in net.buses}
-    # Flat start at the source phasors.
-    volts: Dict[str, np.ndarray] = {}
-    for b in net.buses:
-        volts[b.id] = np.array([net.source_voltage[p] for p in b.phases], dtype=complex)
-
-    demand = snapshot.demand
-    s_bus = {
-        b.id: np.array([demand.get(NodeId(b.id, p), 0j) for p in b.phases], dtype=complex)
-        for b in net.buses
-    }
-
-    branch_current: Dict[str, np.ndarray] = {}
-    mismatch = np.inf
-    for it in range(1, max_iter + 1):
-        # Backward: per-bus injection currents, accumulated up the tree.
-        acc: Dict[str, np.ndarray] = {}
-        for bus_id in reversed(order):
-            v = volts[bus_id]
-            if np.any(np.abs(v) < 1e-12):
-                raise PowerFlowError(f"voltage collapse at bus {bus_id} during sweep")
-            inj = np.conj(s_bus[bus_id] / v)
-            for child in children[bus_id]:
-                line = parent[child]
-                child_cur = acc[child]
-                # child current expressed on this bus's phase list
-                mapped = np.zeros(len(phase_of[bus_id]), dtype=complex)
-                for p in line.phases:
-                    mapped[phase_of[bus_id].index(p)] = child_cur[phase_of[child].index(p)]
-                inj = inj + mapped
-            acc[bus_id] = inj
-            if bus_id != net.source_bus:
-                line = parent[bus_id]
-                cur = np.array([inj[phase_of[bus_id].index(p)] for p in line.phases],
-                               dtype=complex)
-                branch_current[bus_id] = cur
-
-        # Forward: propagate voltage drops from the source down.
-        mismatch = 0.0
-        for bus_id in order:
-            if bus_id == net.source_bus:
-                continue
-            line = parent[bus_id]
-            up = line.from_bus if line.to_bus == bus_id else line.to_bus
-            v_up = np.array(
-                [volts[up][phase_of[up].index(p)] for p in line.phases], dtype=complex
-            )
-            drop = line.z_pu @ branch_current[bus_id]
-            v_line = v_up - drop
-            v_new = np.array(
-                [v_line[list(line.phases).index(p)] for p in phase_of[bus_id]], dtype=complex
-            )
-            mismatch = max(mismatch, float(np.max(np.abs(v_new - volts[bus_id]))))
-            volts[bus_id] = v_new
-
-        if mismatch <= tol:
-            phasors = {
-                NodeId(b, p): complex(volts[b][phase_of[b].index(p)])
-                for b in order
-                for p in phase_of[b]
-            }
-            v2 = {n: abs(v) ** 2 for n, v in phasors.items()}
-            return VoltageSolution(phasors=phasors, v2=v2, converged=True,
-                                   iterations=it, mismatch=mismatch)
-
-    phasors = {
-        NodeId(b, p): complex(volts[b][phase_of[b].index(p)])
-        for b in order
-        for p in phase_of[b]
-    }
-    return VoltageSolution(phasors=phasors, v2={n: abs(v) ** 2 for n, v in phasors.items()},
-                           converged=False, iterations=max_iter, mismatch=float(mismatch))
+    """Power flow of one snapshot: ``sweep`` with a batch of one."""
+    return sweep(net, demand_array(net, [snapshot]), tol, max_iter).solution(0)
 
 
 def power_balance(net: NetworkModel, sol: VoltageSolution,
                   snapshot: InjectionSnapshot) -> Tuple[complex, complex, complex]:
     """Return (source injection, total load, total series losses), per-unit."""
-    parent = net.parent_lines
-    phase_of = {b.id: list(b.phases) for b in net.buses}
+    fa = net.arrays
+    v = fa.flat.copy()
+    v.flat[fa.take] = [sol.phasors[node] for node in fa.node_pos]
+    current = _subtree_currents(fa, np.conj(demand_array(net, [snapshot])[0] / v))
+    # Row 0 is the source; every other row is fed by the line from its parent.
+    losses = np.sum((v[fa.parent[1:]] - v[1:]) * np.conj(current[1:]))
+    source_power = np.sum(v[0] * np.conj(current[0]))
     total_load = sum(snapshot.demand.values(), 0j)
-
-    # Recompute branch currents from the converged voltages.
-    order = net.bus_order
-    children: Dict[str, List[str]] = {b.id: [] for b in net.buses}
-    for child, line in parent.items():
-        up = line.from_bus if line.to_bus == child else line.to_bus
-        children[up].append(child)
-    acc: Dict[str, np.ndarray] = {}
-    losses = 0j
-    source_power = 0j
-    for bus_id in reversed(order):
-        v = np.array([sol.phasors[NodeId(bus_id, p)] for p in phase_of[bus_id]], dtype=complex)
-        s = np.array(
-            [snapshot.demand.get(NodeId(bus_id, p), 0j) for p in phase_of[bus_id]],
-            dtype=complex,
-        )
-        inj = np.conj(s / v)
-        for child in children[bus_id]:
-            line = parent[child]
-            for p in line.phases:
-                inj[phase_of[bus_id].index(p)] += acc[child][phase_of[child].index(p)]
-        acc[bus_id] = inj
-        if bus_id != net.source_bus:
-            line = parent[bus_id]
-            up = line.from_bus if line.to_bus == bus_id else line.to_bus
-            cur = np.array([inj[phase_of[bus_id].index(p)] for p in line.phases], dtype=complex)
-            v_up = np.array([sol.phasors[NodeId(up, p)] for p in line.phases], dtype=complex)
-            v_dn = np.array([sol.phasors[NodeId(bus_id, p)] for p in line.phases], dtype=complex)
-            losses += np.sum((v_up - v_dn) * np.conj(cur))
-        else:
-            source_power = complex(np.sum(v * np.conj(inj)))
-    return source_power, complex(total_load), complex(losses)
+    return complex(source_power), complex(total_load), complex(losses)
 
 
 def snapshot_for(scenario: ScenarioData, t: int,
@@ -206,10 +198,7 @@ def snapshot_for(scenario: ScenarioData, t: int,
     ``ev_charging`` is a per-EV on/off sequence aligned with scenario.evs;
     omitted means no EV load.
     """
-    demand: Dict[NodeId, complex] = {}
-    for (node, tt), s in scenario.background.items():
-        if tt == t:
-            demand[node] = demand.get(node, 0j) + s
+    demand = dict(scenario.loads_by_t.get(t, {}))
     if ev_charging is not None:
         r = scenario.rate_pu
         for ev, on in zip(scenario.evs, ev_charging):
@@ -218,7 +207,7 @@ def snapshot_for(scenario: ScenarioData, t: int,
     return InjectionSnapshot(t=t, demand=demand)
 
 
-def score_violations(v2: Dict[NodeId, float], t: int, v_max: float, v_min: float,
+def score_violations(v2: Mapping[NodeId, float], t: int, v_max: float, v_min: float,
                      report: ViolationReport) -> None:
     for node in sorted(v2):
         v = v2[node]
@@ -230,16 +219,20 @@ def score_violations(v2: Dict[NodeId, float], t: int, v_max: float, v_min: float
 
 def simulate_states(scenario: ScenarioData,
                     states_by_t: Dict[int, Sequence[bool]]):
-    """Run one power flow per time step for the given per-EV charging states.
+    """Power flow of every time step for the given per-EV charging states,
+    all steps in one batched sweep.
 
     Returns (v2 map keyed by (node, t), ViolationReport).
     """
+    net = scenario.network
+    times = range(1, scenario.T + 1)
+    snaps = [snapshot_for(scenario, t, states_by_t.get(t)) for t in times]
+    result = sweep(net, demand_array(net, snaps))
     v_map: Dict[Tuple[NodeId, int], float] = {}
     report = ViolationReport()
-    for t in range(1, scenario.T + 1):
-        snap = snapshot_for(scenario, t, states_by_t.get(t))
+    for b, t in enumerate(times):
         try:
-            sol = solve_pf(scenario.network, snap).require_converged()
+            sol = result.solution(b).require_converged()
         except PowerFlowError as exc:
             raise PowerFlowError(f"t={t}: {exc}") from exc
         for node, v in sol.v2.items():

@@ -9,7 +9,7 @@ from gridevac import cla
 from gridevac.cla import (
     ClaError, ClaFunction, ClaModel, GridOracle, OVER, SampleSet, UNDER,
     append_samples, compute_targets, default_sample_count, draw_samples,
-    fit_cla, load_model, predict, save_model, scenario_hash,
+    fit_cla, load_model, save_model, scenario_hash,
 )
 from gridevac.netmodel import FeederSpec, NodeId, generate_synthetic_feeder
 
@@ -194,7 +194,7 @@ class TestPredict:
                            a1=np.array([-0.1, 0.02]), buses=["k0", "k1"])
 
     def test_zero_vector_gives_intercept(self):
-        assert predict(self._f(), np.zeros(2)) == pytest.approx(1.0)
+        assert self._f().predict(np.zeros(2)) == pytest.approx(1.0)
 
     def test_affine_identity(self):
         f = self._f()

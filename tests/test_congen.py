@@ -121,6 +121,36 @@ class TestBruteForceOracle:
         assert result.status == "converged"
         assert result.gamma_max <= gamma_oracle
 
+    def test_memoized_oracle_solves_each_distinct_state_once(self, weak, monkeypatch):
+        _, scn = weak
+
+        class Unmemoized:
+            def __init__(self):
+                self.pairs = set()
+                self.calls = 0
+
+            def node_voltages(self, t, ev_states):
+                self.calls += 1
+                self.pairs.add((t, tuple(bool(x) for x in ev_states)))
+                snap = powerflow.snapshot_for(scn, t, ev_states)
+                return powerflow.solve_pf(scn.network, snap).require_converged().v2
+
+        plain = Unmemoized()
+        expected = brute_force_oracle(scn, 0.0, oracle=plain)
+        calls = []
+        solve_pf = powerflow.solve_pf
+        monkeypatch.setattr(powerflow, "solve_pf",
+                            lambda *a, **k: calls.append(1) or solve_pf(*a, **k))
+        oracle = GridOracle(scn)
+        assert brute_force_oracle(scn, 0.0, oracle=oracle) == expected
+        assert len(calls) == len(plain.pairs) < plain.calls
+        t, states = next(iter(plain.pairs))
+        first = oracle.node_voltages(t, list(states))
+        assert oracle.node_voltages(t, np.array(states)) == first
+        assert len(calls) == len(plain.pairs)
+        with pytest.raises(TypeError):
+            first[next(iter(first))] = 0.0
+
     def test_schedule_from_starts_matches_validation(self, weak):
         from gridevac.eevc import validate_schedule
         _, scn = weak

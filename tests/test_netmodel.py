@@ -195,6 +195,13 @@ class TestSyntheticFeeder:
         assert len(net.lines) == len(net.buses) - 1
         assert set(net.bus_order) == {b.id for b in net.buses}
 
+    def test_topology_reuses_construction_bfs(self, weak, monkeypatch):
+        net, _ = weak
+        monkeypatch.setattr(type(net), "_bfs", lambda self: pytest.fail("BFS re-run"))
+        order = net.bus_order
+        assert order[0] == net.source_bus
+        assert set(net.parent_lines) == set(order[1:])
+
 
 class TestNodeId:
     def test_str_and_parse_inverse(self):

@@ -6,8 +6,8 @@ from gridevac.netmodel import (
     Bus, FeederSpec, Line, NetworkModel, NodeId, generate_synthetic_feeder,
 )
 from gridevac.powerflow import (
-    InjectionSnapshot, ViolationEntry, ViolationReport,
-    power_balance, simulate_states, snapshot_for, solve_pf, violation_total,
+    InjectionSnapshot, VoltageSolution, ViolationEntry, ViolationReport,
+    demand_array, power_balance, simulate_states, snapshot_for, solve_pf, sweep,
 )
 
 
@@ -28,6 +28,194 @@ def _two_bus_closed_form(r, x, p, q, v1=1.0):
     roots = np.roots([1.0, b, c])
     # The operating point is the high-voltage root.
     return float(max(root.real for root in roots if abs(root.imag) < 1e-12))
+
+
+def _reference_solve_pf(net, snapshot, tol=powerflow.PF_TOL,
+                        max_iter=powerflow.PF_MAX_ITER):
+    """Per-bus forward-backward sweep over dicts, the reference the compiled
+    batched sweep is checked against."""
+    order = net.bus_order
+    parent = net.parent_lines
+    children = {b.id: [] for b in net.buses}
+    for child, line in parent.items():
+        up = line.from_bus if line.to_bus == child else line.to_bus
+        children[up].append(child)
+
+    phase_of = {b.id: list(b.phases) for b in net.buses}
+    volts = {}
+    for b in net.buses:
+        volts[b.id] = np.array([net.source_voltage[p] for p in b.phases], dtype=complex)
+
+    demand = snapshot.demand
+    s_bus = {
+        b.id: np.array([demand.get(NodeId(b.id, p), 0j) for p in b.phases], dtype=complex)
+        for b in net.buses
+    }
+
+    def solution(converged, iterations, mismatch):
+        phasors = {
+            NodeId(b, p): complex(volts[b][phase_of[b].index(p)])
+            for b in order
+            for p in phase_of[b]
+        }
+        return VoltageSolution(phasors=phasors,
+                               v2={n: abs(v) ** 2 for n, v in phasors.items()},
+                               converged=converged, iterations=iterations,
+                               mismatch=float(mismatch))
+
+    branch_current = {}
+    mismatch = np.inf
+    for it in range(1, max_iter + 1):
+        # Backward: per-bus injection currents, accumulated up the tree.
+        acc = {}
+        for bus_id in reversed(order):
+            v = volts[bus_id]
+            if np.any(np.abs(v) < 1e-12):
+                raise powerflow.PowerFlowError(
+                    f"voltage collapse at bus {bus_id} during sweep")
+            inj = np.conj(s_bus[bus_id] / v)
+            for child in children[bus_id]:
+                line = parent[child]
+                child_cur = acc[child]
+                mapped = np.zeros(len(phase_of[bus_id]), dtype=complex)
+                for p in line.phases:
+                    mapped[phase_of[bus_id].index(p)] = child_cur[phase_of[child].index(p)]
+                inj = inj + mapped
+            acc[bus_id] = inj
+            if bus_id != net.source_bus:
+                line = parent[bus_id]
+                branch_current[bus_id] = np.array(
+                    [inj[phase_of[bus_id].index(p)] for p in line.phases], dtype=complex)
+
+        # Forward: propagate voltage drops from the source down.
+        mismatch = 0.0
+        for bus_id in order:
+            if bus_id == net.source_bus:
+                continue
+            line = parent[bus_id]
+            up = line.from_bus if line.to_bus == bus_id else line.to_bus
+            v_up = np.array(
+                [volts[up][phase_of[up].index(p)] for p in line.phases], dtype=complex)
+            v_line = v_up - line.z_pu @ branch_current[bus_id]
+            v_new = np.array(
+                [v_line[list(line.phases).index(p)] for p in phase_of[bus_id]], dtype=complex)
+            mismatch = max(mismatch, float(np.max(np.abs(v_new - volts[bus_id]))))
+            volts[bus_id] = v_new
+
+        if mismatch <= tol:
+            return solution(True, it, mismatch)
+    return solution(False, max_iter, mismatch)
+
+
+def _mixed_phase_net():
+    """Three-phase trunk with a two-phase lateral (phases listed c, a) and a
+    single-phase tap off it, so the padded layout has absent phases."""
+    z3 = np.full((3, 3), 0.004 + 0.006j, dtype=complex)
+    np.fill_diagonal(z3, 0.012 + 0.025j)
+    z2 = np.array([[0.02 + 0.03j, 0.005 + 0.008j],
+                   [0.005 + 0.008j, 0.018 + 0.028j]])
+    abc = ("a", "b", "c")
+    return NetworkModel(
+        buses=(Bus("s", abc), Bus("t1", abc), Bus("t2", ("b", "c", "a")),
+               Bus("l1", ("c", "a")), Bus("l2", ("a",)), Bus("l3", ("c",))),
+        lines=(Line("s", "t1", abc, z3), Line("t2", "t1", ("a", "b", "c"), 0.7 * z3),
+               Line("t1", "l1", ("c", "a"), z2), Line("l1", "l2", ("a",), z2[:1, :1]),
+               Line("l3", "l1", ("c",), z2[1:, 1:])),
+        source_bus="s",
+        source_voltage={"a": 1.02 + 0j, "b": 1.02 * np.exp(-2j * np.pi / 3),
+                        "c": 1.02 * np.exp(2j * np.pi / 3)},
+        base_kv=4.16, base_kva=500.0,
+    )
+
+
+def _mid_feeder():
+    """20-bus three-phase feeder shaped like the benchmark's mid feeder."""
+    return generate_synthetic_feeder(FeederSpec(
+        n_buses=20, phases="abc", n_tazs=3, evs_per_taz=4, impedance_scale=6.0,
+        seed=1, T=24, beta=4, load_scale=0.5))
+
+
+def _assert_matches_reference(sol, ref):
+    assert sol.iterations == ref.iterations
+    assert sol.converged == ref.converged
+    assert list(sol.phasors) == list(ref.phasors)
+    worst = max(abs(sol.phasors[n] - ref.phasors[n]) for n in ref.phasors)
+    assert worst <= 1e-12
+    assert sol.mismatch == pytest.approx(ref.mismatch, rel=1e-6, abs=1e-12)
+
+
+def _random_snapshots(scn, seed):
+    rng = np.random.default_rng(seed)
+    return [snapshot_for(scn, t, rng.random(len(scn.evs)) < 0.5)
+            for t in range(1, scn.T + 1)]
+
+
+class TestCompiledSweep:
+    """The compiled, batched sweep against the per-bus reference."""
+
+    @pytest.mark.parametrize("fixture_name", ["tiny", "three_phase", "weak", "mid"])
+    def test_matches_reference_one_and_batched(self, fixture_name, request):
+        if fixture_name == "mid":
+            net, scn = _mid_feeder()
+        else:
+            net, scn = request.getfixturevalue(fixture_name)
+        snaps = _random_snapshots(scn, seed=len(fixture_name))
+        refs = [_reference_solve_pf(net, snap) for snap in snaps]
+        for snap, ref in zip(snaps, refs):
+            _assert_matches_reference(solve_pf(net, snap), ref)
+        batch = sweep(net, demand_array(net, snaps))
+        for b, ref in enumerate(refs):
+            _assert_matches_reference(batch.solution(b), ref)
+
+    def test_simulate_states_matches_reference(self, weak):
+        net, scn = weak
+        rng = np.random.default_rng(5)
+        states = {t: rng.random(len(scn.evs)) < 0.5 for t in range(1, scn.T + 1)}
+        v_map, _ = simulate_states(scn, states)
+        for t in range(1, scn.T + 1):
+            ref = _reference_solve_pf(net, snapshot_for(scn, t, states[t]))
+            for node, v2 in ref.v2.items():
+                assert v_map[(node, t)] == pytest.approx(v2, abs=1e-12)
+
+    def test_mixed_phases_match_reference(self):
+        net = _mixed_phase_net()
+        rng = np.random.default_rng(9)
+        snaps = [InjectionSnapshot(t=1, demand={
+            n: complex(*rng.uniform(0.0, 0.08, 2)) for n in net.nodes()
+            if n.bus != "s" and rng.random() < 0.8}) for _ in range(6)]
+        batch = sweep(net, demand_array(net, snaps))
+        for b, snap in enumerate(snaps):
+            ref = _reference_solve_pf(net, snap)
+            _assert_matches_reference(solve_pf(net, snap), ref)
+            _assert_matches_reference(batch.solution(b), ref)
+            src, load, losses = power_balance(net, solve_pf(net, snap), snap)
+            assert abs(src - load - losses) < 1e-9
+
+    def test_capped_iterations_report_mismatch(self, weak):
+        net, scn = weak
+        snap = snapshot_for(scn, int(0.72 * scn.T), [True] * len(scn.evs))
+        ref = _reference_solve_pf(net, snap, max_iter=2)
+        sol = solve_pf(net, snap, max_iter=2)
+        assert not sol.converged and sol.iterations == 2
+        assert sol.mismatch > powerflow.PF_TOL
+        _assert_matches_reference(sol, ref)
+        with pytest.raises(powerflow.PowerFlowError, match="did not converge"):
+            sol.require_converged()
+
+    def test_voltage_collapse_raises_and_leaves_batch(self):
+        # 1 - 0.5 * conj(2 / 1) = 0: the first sweep drives b1 to exactly zero.
+        net = _two_bus(z=0.5 + 0j)
+        collapse = InjectionSnapshot(t=1, demand={NodeId("b1", "a"): 2.0 + 0j})
+        fine = InjectionSnapshot(t=1, demand={NodeId("b1", "a"): 0.1 + 0.05j})
+        with pytest.raises(powerflow.PowerFlowError, match="collapse at bus b1"):
+            _reference_solve_pf(net, collapse)
+        with pytest.raises(powerflow.PowerFlowError, match="collapse at bus b1"):
+            solve_pf(net, collapse)
+        batch = sweep(net, demand_array(net, [collapse, fine]))
+        assert batch.collapsed == ["b1", None]
+        with pytest.raises(powerflow.PowerFlowError, match="collapse at bus b1"):
+            batch.solution(0)
+        _assert_matches_reference(batch.solution(1), _reference_solve_pf(net, fine))
 
 
 class TestSolvePf:
@@ -131,14 +319,14 @@ class TestSolvePf:
 
 class TestViolations:
     def test_empty_report_total_zero(self):
-        assert violation_total(ViolationReport()) == 0.0
+        assert ViolationReport().total == 0.0
 
     def test_additivity(self):
         rep = ViolationReport(entries=[
             ViolationEntry(NodeId("b1", "a"), 1, "under", 0.002),
             ViolationEntry(NodeId("b2", "a"), 3, "over", 0.003),
         ])
-        assert violation_total(rep) == pytest.approx(0.005)
+        assert rep.total == pytest.approx(0.005)
         assert rep.count() == 2
 
     def test_all_zero_schedule_on_base_case(self, weak):
