@@ -35,7 +35,8 @@ class GridOracle:
     of squared voltage magnitudes at every node. Results are memoized per
     (t, states), so each distinct pair costs one power flow per oracle.
     Tests may substitute any object with the same ``node_voltages``
-    signature (e.g. an exactly-affine response).
+    signature whose maps cover every node of the network (e.g. an
+    exactly-affine response).
     """
 
     def __init__(self, scenario: ScenarioData):
@@ -130,11 +131,16 @@ def compute_targets(scenario: ScenarioData, samples: SampleSet,
     """Fill ``samples.targets`` for nodes x times over all current columns.
 
     One oracle solve covers every node at a given (t, column); results are
-    cached per column so appended columns only trigger new solves.
+    cached per column so appended columns only trigger new solves. Raises
+    ClaError for a node that is not in the network.
     """
+    nodes = list(nodes)
+    known = set(scenario.network.nodes())
+    unknown = [str(node) for node in nodes if node not in known]
+    if unknown:
+        raise ClaError(f"unknown node(s) {', '.join(unknown)}: not in the network")
     if oracle is None:
         oracle = GridOracle(scenario)
-    nodes = list(nodes)
     times = sorted(set(times))
     M = samples.M
     for t in times:
@@ -168,59 +174,87 @@ class ClaFunction:
 
 
 def fit_cla(samples: SampleSet, node: NodeId, t: int, sense: str) -> ClaFunction:
-    """Constrained L1 fit: minimize the total residual subject to the
-    prediction staying on the conservative side of every training target.
+    """Constrained L1 fit of one (node, t, sense): ``fit_clas`` of one key."""
+    return fit_clas(samples, [(node, t, sense)])[0]
 
-    The LP is always feasible (a1 = 0, a0 = extreme target), so a solver
+
+def fit_clas(samples: SampleSet, keys: Sequence[Tuple[NodeId, int, str]]
+             ) -> List[ClaFunction]:
+    """Constrained L1 fits, one per (node, t, sense) key, in key order: each
+    minimizes the total residual subject to the prediction staying on the
+    conservative side of every training target.
+
+    Each LP is written directly in the simplex's standard form (min c'y,
+    Ay = b, y >= 0): a0 = y[0] - y[1] and a1_k = y[2+2k] - y[3+2k] are
+    free, then one residual r_m >= 0 per sample and one slack per row. Sample
+    m gives row 2m, the conservative side (a0 + a1'p_m >= v_m for 'over',
+    <= for 'under'), and row 2m+1, the residual (a0 + a1'p_m -/+ r_m <=/>=
+    v_m); both rows are negated when v_m < 0, so that b >= 0. Keys of one
+    sense whose targets share a sign pattern share A, and so the starting
+    basis, and are solved as one batch.
+
+    Each LP is always feasible (a1 = 0, a0 = extreme target), so a solver
     failure here indicates a bug rather than a modeling condition.
     """
-    if sense not in (OVER, UNDER):
-        raise ClaError(f"unknown sense {sense!r}")
-    key = (node, t)
-    if key not in samples.targets:
-        raise ClaError(f"no targets computed for node {node} at t={t}")
-    v = samples.targets[key]
     P = samples.p_matrix
     n_k, M = P.shape
-    if v.shape[0] != M:
-        raise ClaError(f"target vector length {v.shape[0]} != M={M}")
+    targets = []
+    for node, t, sense in keys:
+        if sense not in (OVER, UNDER):
+            raise ClaError(f"unknown sense {sense!r}")
+        if (node, t) not in samples.targets:
+            raise ClaError(f"no targets computed for node {node} at t={t}")
+        v = samples.targets[(node, t)]
+        if v.shape[0] != M:
+            raise ClaError(f"target vector length {v.shape[0]} != M={M}")
+        targets.append(v)
 
-    prog = mathprog.Program(name=f"cla_{node.bus}_{node.phase}_{t}_{sense}", sense="min")
-    prog.add_variable("a0", lower=-mathprog.INF, upper=mathprog.INF)
-    for k in range(n_k):
-        prog.add_variable(f"a1_{k}", lower=-mathprog.INF, upper=mathprog.INF)
-    for m in range(M):
-        prog.add_variable(f"r_{m}", lower=0.0)
-    prog.set_objective({f"r_{m}": 1.0 for m in range(M)})
+    n_a = 2 + 2 * n_k  # columns of a0 and a1, each split in two
+    n = n_a + 3 * M
+    c = np.zeros(n)
+    c[n_a:n_a + M] = 1.0
+    # A zero demand has no coefficient (so never a -0.0 one) in the matrix.
+    Pt = np.where(P != 0.0, P, 0.0).T
+    base = {}
+    for sense in (OVER, UNDER):
+        A = np.zeros((2 * M, n))
+        A[:, 0], A[:, 1] = 1.0, -1.0
+        A[:, 2:n_a:2] = np.repeat(Pt, 2, axis=0)
+        A[:, 3:n_a:2] = 0.0 - A[:, 2:n_a:2]
+        side = 1.0 if sense == OVER else -1.0
+        A[1::2, n_a:n_a + M] = np.diag(np.full(M, -side))
+        A[:, n_a + M:] = np.diag(np.tile([-side, side], M))
+        base[sense] = A
 
-    for m in range(M):
-        terms = {"a0": 1.0}
-        for k in range(n_k):
-            if P[k, m] != 0.0:
-                terms[f"a1_{k}"] = float(P[k, m])
-        if sense == OVER:
-            prog.add_constraint(f"cons_{m}", terms, ">=", float(v[m]))
-            lo = dict(terms)
-            lo[f"r_{m}"] = -1.0
-            prog.add_constraint(f"res_{m}", lo, "<=", float(v[m]))
-        else:
-            prog.add_constraint(f"cons_{m}", terms, "<=", float(v[m]))
-            hi = dict(terms)
-            hi[f"r_{m}"] = 1.0
-            prog.add_constraint(f"res_{m}", hi, ">=", float(v[m]))
-
-    sol = mathprog.solve_lp(prog)
-    if sol.status != "optimal":
-        raise ClaError(
-            f"L1 fit LP ended with status {sol.status} for {node} t={t} {sense}; "
-            "this should be impossible (the LP is always feasible)"
-        )
-    a0 = sol.values["a0"]
-    a1 = np.array([sol.values[f"a1_{k}"] for k in range(n_k)])
-    f = ClaFunction(node=node, t=t, sense=sense, a0=a0, a1=a1,
-                    buses=list(samples.buses), objective=sol.objective)
-    _check_conservative(f, P, v)
-    return f
+    groups: Dict[Tuple[str, bytes], List[int]] = {}
+    for j, ((_, _, sense), v) in enumerate(zip(keys, targets)):
+        groups.setdefault((sense, (v < 0).tobytes()), []).append(j)
+    out: List[Optional[ClaFunction]] = [None] * len(keys)
+    for (sense, _), members in groups.items():
+        b = np.repeat([targets[j] for j in members], 2, axis=1)
+        flip = b[0] < 0
+        np.negative(b, out=b, where=flip)
+        A = base[sense].copy()
+        A[flip] = 0.0 - A[flip]
+        batches = mathprog.two_phase_batches(
+            np.broadcast_to(A, (len(members), *A.shape)), b, c)
+        for lps, status, y, _, _ in batches:
+            a0 = y[:, 0] - y[:, 1]
+            a1 = y[:, 2:n_a:2] - y[:, 3:n_a:2]
+            residuals = 0.0 + y[:, n_a:n_a + M]
+            for g, j in enumerate(np.asarray(members)[lps]):
+                node, t, _ = keys[j]
+                if status[g] != "optimal":
+                    raise ClaError(
+                        f"L1 fit LP ended with status {status[g]} for {node} t={t} "
+                        f"{sense}; this should be impossible (the LP is always feasible)"
+                    )
+                f = ClaFunction(node=node, t=t, sense=sense, a0=float(a0[g]), a1=a1[g],
+                                buses=list(samples.buses),
+                                objective=sum(residuals[g].tolist()))
+                _check_conservative(f, P, targets[j])
+                out[j] = f
+    return out
 
 
 def _check_conservative(f: ClaFunction, P: np.ndarray, v: np.ndarray) -> None:

@@ -17,7 +17,6 @@ import hashlib
 import json
 import math
 import sys
-import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -327,10 +326,9 @@ def fit(network, loads, evs, tazs, config, m_samples, seed, nodes, times,
         cla.compute_targets(scn, samples, node_list, time_list)
         model = cla.ClaModel(seed=seed, M=samples.M,
                              scenario_hash=cla.scenario_hash(scn))
-        for node in node_list:
-            for t in time_list:
-                for sn in senses:
-                    model.add(cla.fit_cla(samples, node, t, sn))
+        keys = [(node, t, sn) for node in node_list for t in time_list for sn in senses]
+        for f in cla.fit_clas(samples, keys):
+            model.add(f)
     except (cla.ClaError, ScenarioError, ValueError) as exc:
         raise CliError(str(exc)) from exc
     cla.save_model(model, out)
@@ -344,26 +342,6 @@ def _congen_config(m_samples, seed, max_iters, external_solver) -> congen.Congen
         M=m_samples, seed=seed, max_iters=max_iters,
         use_external_solver=external_solver,
     )
-
-
-def _solve_naive(scn: netmodel.ScenarioData) -> congen.CongenResult:
-    """Grid-blind solve: one MILP without surrogate constraints."""
-    t0 = time.perf_counter()
-    inst = eevc.EevcInstance(scenario=scn, include_grid=False)
-    prog = eevc.build_program(inst)
-    sol = congen._solve_milp(prog, congen.CongenConfig())
-    model = cla.ClaModel(scenario_hash=cla.scenario_hash(scn))
-    if sol.status == "infeasible":
-        rec = congen.IterationRecord(1, math.nan, math.nan, math.nan, 0, [],
-                                     time.perf_counter() - t0)
-        return congen.CongenResult(status="infeasible", schedule=None,
-                                   trace=[rec], cla_model=model)
-    schedule = eevc.decode(prog, sol, inst)
-    _, report = powerflow.simulate_schedule(scn, schedule)
-    rec = congen.IterationRecord(1, schedule.gamma_max, 0.0, report.total, 0, [],
-                                 time.perf_counter() - t0)
-    return congen.CongenResult(status="converged", schedule=schedule,
-                               trace=[rec], cla_model=model)
 
 
 @cli.command()
@@ -391,7 +369,7 @@ def solve(network, loads, evs, tazs, config, out, seed, m_samples, lambda_max,
     prov = _provenance(seed, _scenario_inputs(network, loads, evs, tazs, config))
     try:
         if naive:
-            result = _solve_naive(scn)
+            result = congen.solve_naive(scn)
         else:
             result = congen.run(scn, _congen_config(m_samples, seed, max_iters,
                                                     external_solver))

@@ -77,9 +77,10 @@ def _solve_milp(prog: mathprog.Program, cfg: CongenConfig) -> mathprog.Solution:
 def _simulate(scenario: ScenarioData, schedule: ChargeSchedule, oracle
               ) -> powerflow.ViolationReport:
     report = powerflow.ViolationReport()
+    nodes = scenario.network.sorted_nodes
     for t in range(1, scenario.T + 1):
         v2 = oracle.node_voltages(t, schedule.ev_states_at(t, scenario))
-        powerflow.score_violations(v2, t, scenario.v_max, scenario.v_min, report)
+        powerflow.score_violations(v2, t, scenario.v_max, scenario.v_min, report, nodes)
     return report
 
 
@@ -155,8 +156,8 @@ def run(scenario: ScenarioData, config: Optional[CongenConfig] = None,
         nodes = sorted({k[0] for k in active})
         times = sorted({k[1] for k in active})
         cla.compute_targets(scenario, samples, nodes, times, oracle=oracle)
-        for (node, t, sense) in active:
-            model.add(cla.fit_cla(samples, node, t, sense))
+        for f in cla.fit_clas(samples, active):
+            model.add(f)
         model.M = samples.M
 
         trace.append(IterationRecord(it, schedule.gamma_max,
@@ -165,6 +166,27 @@ def run(scenario: ScenarioData, config: Optional[CongenConfig] = None,
 
     return CongenResult(status="iteration_limit", schedule=schedule, trace=trace,
                         cla_model=model, samples=samples)
+
+
+def solve_naive(scenario: ScenarioData) -> CongenResult:
+    """Grid-blind solve: one MILP without surrogate constraints, scored by a
+    time-series simulation. Reports 'converged' unless the MILP is infeasible."""
+    t0 = time.perf_counter()
+    inst = EevcInstance(scenario=scenario, include_grid=False)
+    prog = eevc.build_program(inst)
+    sol = _solve_milp(prog, CongenConfig())
+    model = cla.ClaModel(scenario_hash=cla.scenario_hash(scenario))
+    if sol.status == "infeasible":
+        rec = IterationRecord(1, math.nan, math.nan, math.nan, 0, [],
+                              time.perf_counter() - t0)
+        return CongenResult(status="infeasible", schedule=None, trace=[rec],
+                            cla_model=model)
+    schedule = eevc.decode(prog, sol, inst)
+    _, report = powerflow.simulate_schedule(scenario, schedule)
+    rec = IterationRecord(1, schedule.gamma_max, 0.0, report.total, 0, [],
+                          time.perf_counter() - t0)
+    return CongenResult(status="converged", schedule=schedule, trace=[rec],
+                        cla_model=model)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +220,10 @@ def schedule_from_starts(scenario: ScenarioData, starts: Dict[str, Optional[int]
                 for t in range(s, min(s + w, T + 1)):
                     evon[t - 1] = 1
             c_ev[ev.id] = evon
+            # L^t = soc0 + (steps charged before t)/beta, from a running count.
             batteries[ev.id] = [ev.soc0] + [
-                ev.soc0 + sum(evon[:t - 1]) / scenario.beta for t in range(1, T + 1)
+                ev.soc0 + charged / scenario.beta
+                for charged in itertools.accumulate([0] + evon[:-1])
             ]
     first = min((s for s in starts.values() if s is not None), default=None)
     gamma, tau = eevc.start_indicators(first, T)

@@ -3,8 +3,10 @@
 The built-in solver is a dense two-phase primal simplex plus depth-first
 branch-and-bound over binary variables. It targets desk-scale instances
 (hundreds of rows/columns); correctness and determinism are preferred over
-speed. An external solver can be plugged in through MPS export / solution
-import driven by a command template.
+speed. The simplex solves a batch of same-shape LPs at once, each taking
+exactly the pivots it would take alone; a single LP is the batch of one. An
+external solver can be plugged in through MPS export / solution import
+driven by a command template.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import os
 import re
 import subprocess
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,6 +26,10 @@ INF = math.inf
 FEAS_TOL = 1e-6
 INT_TOL = 1e-6
 PIVOT_TOL = 1e-9
+# Bytes of simplex tableau one batch may hold at once; a larger batch of LPs
+# is solved in chunks of this size. 1 MiB holds a dozen CLA fits of a 20-bus
+# feeder: larger chunks save little time and add resident memory.
+BATCH_BYTES = 1 << 20
 
 EXTERNAL_SOLVER_ENV = "GRIDEVAC_SOLVER_CMD"
 
@@ -259,145 +265,232 @@ def _standardize(prog: Program, bound_override: Optional[Dict[str, Tuple[float, 
                     n_orig_rows=n_orig_rows, obj_const=obj_const, sense_flip=sense_flip)
 
 
-def _pivot(tab: np.ndarray, basis: List[int], row: int, col: int) -> None:
-    tab[row] /= tab[row, col]
-    piv = tab[:, col].copy()
-    piv[row] = 0.0
-    tab -= piv[:, None] * tab[row]
-    basis[row] = col
+def _pivot(tab: np.ndarray, basis: np.ndarray, lps: np.ndarray, rows: np.ndarray,
+           cols: np.ndarray, sparse: bool = False) -> None:
+    """Pivot tableau ``lps[i]`` of the batch ``tab`` (B, m+1, n+1) on
+    (``rows[i]``, ``cols[i]``), in place.
 
-
-def _run_simplex(tab: np.ndarray, basis: List[int], m: int, n: int,
-                 max_iter: int) -> str:
-    """Minimize using the cost row tab[m]; returns 'optimal'|'unbounded'|'limit'.
-
-    Dantzig rule by default; permanently switches to Bland's rule once the
-    objective stalls (degeneracy guard). Ties always break on the lowest
-    index, so the pivot sequence is deterministic.
+    A full pivot subtracts piv * prow from every row, piv being the pivot
+    column with a zero at the pivot row and prow the scaled pivot row. With
+    ``sparse``, which the caller may pass only while no constraint row of
+    these tableaux holds a -0.0, only the columns where prow is nonzero are
+    updated. While piv is finite that is exact: a skipped entry x would
+    become x - piv * (+-0) = x, x not being -0.0, except in the pivot row,
+    where a full pivot turns a -0.0 into +0.0 (written as prow + 0.0). Both
+    kinds of pivot leave no -0.0 in a constraint row.
     """
-    bland = False
-    stall = 0
-    last_obj = tab[m, n]
+    k = np.arange(lps.size)
+    prow = tab[lps, rows] / tab[lps, rows, cols][:, None]
+    piv = tab[lps, :, cols]
+    piv[k, rows] = 0.0
+    if sparse and np.isfinite(piv).all():
+        tab[lps, rows] = prow + 0.0
+        i, j = np.nonzero(prow)
+        tab[lps[i], :, j] -= piv[i] * prow[i, j][:, None]
+    else:
+        tab[lps, rows] = prow
+        tab[lps] -= piv[:, :, None] * prow[:, None, :]
+    basis[lps, rows] = cols
+
+
+def _run_simplex(tab: np.ndarray, basis: np.ndarray, n: int, max_iter: int,
+                 alive: Optional[np.ndarray] = None) -> np.ndarray:
+    """Minimize every tableau of a batch on its cost row, in place.
+
+    ``tab`` is (B, m+1, n+1): constraint rows, then the cost row, with the
+    right-hand side in column n; ``basis`` (B, m) holds each row's basic
+    column, and rows whose ``alive`` entry is False take no part. Returns a
+    status per LP: 'optimal' | 'unbounded' | 'limit'.
+
+    Each LP pivots as it would alone: Dantzig rule by default, switching for
+    good to Bland's rule once its objective stalls (degeneracy guard); ties
+    always break on the lowest index, so the pivot sequence is deterministic.
+    An LP leaves the batch when it stops. All LPs start together, so they
+    share the iteration count and the cap ``max_iter``.
+    """
+    B, m = basis.shape
+    if alive is None:
+        alive = np.ones((B, m), dtype=bool)
+    status = np.full(B, "limit", dtype=object)
+    # Sparse pivots need a live constraint row free of -0.0, which every
+    # pivot keeps so (see _pivot); dead rows are never read.
+    negative_zero = tab[:, :m].view(np.int64) == np.int64(-2 ** 63)
+    sparse = not (negative_zero.any(axis=2) & alive).any()
+    # The LPs still running; the per-LP state below follows it.
+    lps = k = np.arange(B)
+    live = alive
+    bland = np.zeros(B, dtype=bool)
+    stall = np.zeros(B, dtype=int)
+    last_obj = tab[:, m, n].copy()
+    stall_cap = 2 * (alive.sum(axis=1) + n)
     for _ in range(max_iter):
-        costs = tab[m, :n]
-        if bland:
-            neg = np.nonzero(costs < -PIVOT_TOL)[0]
-            if neg.size == 0:
-                return "optimal"
-            col = int(neg[0])
+        costs = tab[lps, m, :n]
+        if bland.any():
+            neg = costs < -PIVOT_TOL
+            col = np.where(bland, neg.argmax(axis=1), costs.argmin(axis=1))
+            optimal = np.where(bland, ~neg.any(axis=1), costs[k, col] >= -PIVOT_TOL)
         else:
-            col = int(np.argmin(costs))
-            if costs[col] >= -PIVOT_TOL:
-                return "optimal"
-        ratios = np.full(m, np.inf)
-        pos = tab[:m, col] > PIVOT_TOL
-        ratios[pos] = tab[:m, n][pos] / tab[:m, col][pos]
-        best = ratios.min() if m else np.inf
-        if not np.isfinite(best):
-            return "unbounded"
-        cand = np.nonzero(ratios <= best + 1e-12)[0]
-        if bland and cand.size > 1:
-            row = int(min(cand, key=lambda i: basis[i]))
-        else:
-            row = int(cand[0])
-        _pivot(tab, basis, row, col)
-        if abs(tab[m, n] - last_obj) <= 1e-12:
-            stall += 1
-            if stall > 2 * (m + n):
-                bland = True
-        else:
-            stall = 0
-            last_obj = tab[m, n]
-    return "limit"
+            col = costs.argmin(axis=1)
+            optimal = costs[k, col] >= -PIVOT_TOL
+        colv = tab[lps, :m, col]
+        ratios = np.full((lps.size, m), np.inf)
+        np.divide(tab[lps, :m, n], colv, out=ratios, where=(colv > PIVOT_TOL) & live)
+        best = ratios.min(axis=1) if m else np.full(lps.size, np.inf)
+        stop = optimal | ~np.isfinite(best)
+        if stop.any():
+            status[lps[stop]] = np.where(optimal[stop], "optimal", "unbounded")
+            go = ~stop
+            if not go.any():
+                break
+            lps, live, col, ratios, best = lps[go], live[go], col[go], ratios[go], best[go]
+            bland, stall, last_obj, stall_cap = bland[go], stall[go], last_obj[go], stall_cap[go]
+            k = np.arange(lps.size)
+        cand = ratios <= (best + 1e-12)[:, None]
+        row = cand.argmax(axis=1)
+        if bland.any():
+            lowest = np.where(cand, basis[lps], np.iinfo(basis.dtype).max).argmin(axis=1)
+            row = np.where(bland, lowest, row)
+        _pivot(tab, basis, lps, row, col, sparse)
+        obj = tab[lps, m, n]
+        same = np.abs(obj - last_obj) <= 1e-12
+        stall = (stall + 1) * same
+        bland |= stall > stall_cap
+        last_obj = np.where(same, last_obj, obj)
+    return status
+
+
+def _start_basis(A: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Each row's starting basic column, or -1 where it needs an artificial.
+
+    A column with a single nonzero, a clean +1, and zero cost can start basic
+    in its row; among several for one row the last column wins.
+    """
+    B, m, n = A.shape
+    basis = np.full((B, m), -1)
+    if not m:
+        return basis
+    nz = A != 0.0
+    row = nz.argmax(axis=1)  # (B, n): the row of a unit column's nonzero
+    lp, j = np.nonzero((nz.sum(axis=1) == 1) & (c == 0.0))
+    one = A[lp, row[lp, j], j] == 1.0
+    np.maximum.at(basis, (lp[one], row[lp[one], j[one]]), j[one])
+    return basis
+
+
+def _solve_group(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
+                 max_iter: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two-phase simplex over LPs that share their starting ``basis`` (G, m).
+
+    Returns (status, y, alive); ``basis`` is updated in place to each LP's
+    final basis, and ``alive`` marks the rows phase 1 kept (a redundant row
+    whose artificial cannot leave the basis is dropped).
+    """
+    G, m, n = A.shape
+    status = np.full(G, "optimal", dtype=object)
+    alive = np.ones((G, m), dtype=bool)
+    art = np.nonzero(basis[0] < 0)[0]
+    n_art = art.size
+    tab = np.zeros((G, m + 1, n + n_art + 1))
+    tab[:, :m, :n] = A
+    tab[:, :m, -1] = b
+    if n_art:
+        basis[:, art] = n + np.arange(n_art)
+        tab[:, art, n + np.arange(n_art)] = 1.0
+        tab[:, m, n:-1] = 1.0
+        for i in art:  # price out the initial basis
+            tab[:, m] -= tab[:, i]
+        phase1 = _run_simplex(tab, basis, n + n_art, max_iter)
+        status[phase1 != "optimal"] = "limit"
+        status[(phase1 == "optimal") & (-tab[:, m, -1] > 1e-7)] = "infeasible"
+        # Drive remaining artificials out of the basis.
+        for g in np.nonzero((status == "optimal") & (basis >= n).any(axis=1))[0]:
+            for i in np.nonzero(basis[g] >= n)[0]:
+                cols = np.nonzero(np.abs(tab[g, i, :n]) > PIVOT_TOL)[0]
+                if cols.size:
+                    _pivot(tab, basis, np.array([g]), np.array([i]), cols[:1])
+                else:
+                    alive[g, i] = False  # redundant row
+    go = np.nonzero(status == "optimal")[0]
+    y = np.zeros((G, n))
+    if not go.size:
+        return status, y, alive
+    if go.size < G:
+        tab = tab[go]
+    # Drop the artificial columns: the right-hand side moves to column n.
+    tab[:, :, n] = tab[:, :, -1]
+    tab = tab[:, :, :n + 1]
+    gbasis, galive, gc = basis[go], alive[go], c[go]
+
+    # Phase 2.
+    tab[:, m] = 0.0
+    tab[:, m, :n] = gc
+    cost = np.take_along_axis(gc, np.where(galive, gbasis, 0), axis=1)
+    cost[~galive] = 0.0
+    for i in range(m):
+        sel = cost[:, i] != 0.0
+        if sel.any():
+            tab[sel, m] -= cost[sel, i, None] * tab[sel, i]
+    phase2 = _run_simplex(tab, gbasis, n, max_iter, galive)
+    status[go] = phase2
+    basis[go] = gbasis
+    g, i = np.nonzero(galive & (gbasis < n) & (phase2 == "optimal")[:, None])
+    y[go[g], gbasis[g, i]] = tab[g, i, n]
+    return status, y, alive
+
+
+def two_phase_batches(A: np.ndarray, b: np.ndarray, c: np.ndarray,
+                       max_iter: Optional[int] = None
+                       ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                           np.ndarray, np.ndarray]]:
+    """Solve min c'y, Ay=b, y>=0 for a batch of LPs of one shape.
+
+    ``A`` is (B, m, n) (a broadcast view is fine), ``b`` (B, m) and ``c``
+    (n,) or (B, n). Every LP takes exactly the pivots it would take alone.
+    The batch runs in chunks of at most BATCH_BYTES of tableau; within a
+    chunk, LPs that share a starting basis run together, and their results
+    are yielded as soon as they are solved, as (lps, status, y, basis,
+    alive): the LPs' indices in the batch, a status per LP ('optimal' |
+    'infeasible' | 'unbounded' | 'limit'), their optimal points (zero rows
+    elsewhere), and each LP's final basis and the rows it kept.
+    """
+    B, m, n = A.shape
+    c = np.broadcast_to(c, (B, n))
+    if max_iter is None:
+        max_iter = 200 * (m + n + 10)
+    chunk = max(1, BATCH_BYTES // (8 * (m + 1) * (n + m + 1)))
+    for lo in range(0, B, chunk):
+        part = slice(lo, min(lo + chunk, B))
+        start = _start_basis(A[part], c[part])
+        groups: Dict[bytes, List[int]] = {}
+        for g, row in enumerate(start):
+            groups.setdefault(row.tobytes(), []).append(g)
+        for members in groups.values():
+            lps = np.arange(B)[part][members]
+            if len(members) == start.shape[0]:  # the whole chunk: keep views
+                gA, gb, gc = A[part], b[part], c[part]
+            else:
+                gA, gb, gc = A[lps], b[lps], c[lps]
+            basis = start[members]
+            status, y, alive = _solve_group(gA, gb, gc, basis, max_iter)
+            yield lps, status, y, basis, alive
 
 
 def _two_phase(std: _StdForm, max_iter: Optional[int] = None
                ) -> Tuple[str, Optional[np.ndarray], Optional[np.ndarray]]:
-    """Solve min c'y, Ay=b, y>=0. Returns (status, y, duals_y)."""
-    A, b, c = std.A, std.b, std.c
-    m, n = A.shape
-    if max_iter is None:
-        max_iter = 200 * (m + n + 10)
-
-    # Rows whose slack column is a clean +1 unit column can start basic;
-    # the rest get artificials.
-    basis: List[int] = [-1] * m
-    nnz = np.count_nonzero(A, axis=0)
-    unit_cols = np.nonzero((nnz == 1) & (c == 0.0))[0]
-    taken = set()
-    for j in unit_cols[::-1]:
-        i = int(np.argmax(np.abs(A[:, j])))
-        if A[i, j] == 1.0 and basis[i] == -1 and j not in taken:
-            basis[i] = int(j)
-            taken.add(int(j))
-    art_rows = [i for i in range(m) if basis[i] == -1]
-
-    n_art = len(art_rows)
-    if n_art:
-        A1 = np.hstack([A, np.zeros((m, n_art))])
-        for k, i in enumerate(art_rows):
-            A1[i, n + k] = 1.0
-            basis[i] = n + k
-        c1 = np.zeros(n + n_art)
-        c1[n:] = 1.0
-        tab = np.zeros((m + 1, n + n_art + 1))
-        tab[:m, :-1] = A1
-        tab[:m, -1] = b
-        tab[m, :-1] = c1
-        # Price out the initial basis.
-        for i in range(m):
-            if c1[basis[i]] != 0.0:
-                tab[m] -= c1[basis[i]] * tab[i]
-        status = _run_simplex(tab, basis, m, n + n_art, max_iter)
-        if status != "optimal":
-            return ("limit", None, None)
-        if -tab[m, -1] > 1e-7:
-            return ("infeasible", None, None)
-        # Drive remaining artificials out of the basis.
-        drop_rows = []
-        for i in range(m):
-            if basis[i] >= n:
-                cols = np.nonzero(np.abs(tab[i, :n]) > PIVOT_TOL)[0]
-                if cols.size:
-                    _pivot(tab, basis, i, int(cols[0]))
-                else:
-                    drop_rows.append(i)  # redundant row
-        if drop_rows:
-            keep = [i for i in range(m) if i not in drop_rows]
-            tab = np.vstack([tab[keep], tab[m:]])
-            basis = [basis[i] for i in keep]
-            m = len(keep)
-        tab = np.hstack([tab[:, :n], tab[:, -1:]])
-    else:
-        tab = np.zeros((m + 1, n + 1))
-        tab[:m, :-1] = A
-        tab[:m, -1] = b
-
-    # Phase 2.
-    tab[m, :] = 0.0
-    tab[m, :n] = c[:n]
-    for i in range(m):
-        if c[basis[i]] != 0.0:
-            tab[m] -= c[basis[i]] * tab[i]
-    status = _run_simplex(tab, basis, m, n, max_iter)
-    if status == "unbounded":
-        return ("unbounded", None, None)
-    if status == "limit":
-        return ("limit", None, None)
-
-    y = np.zeros(n)
-    for i in range(m):
-        if basis[i] < n:
-            y[basis[i]] = tab[i, -1]
+    """Solve min c'y, Ay=b, y>=0: the batch of one. Returns (status, y, duals_y)."""
+    ((_, status, y, basis, alive),) = two_phase_batches(
+        std.A[None], std.b[None], std.c, max_iter)
+    if status[0] != "optimal":
+        return (status[0], None, None)
     # Duals from the final basis: solve B' yd = c_B on the *original* rows.
     duals = None
-    if m == std.A.shape[0]:
-        B = std.A[:, basis]
+    if alive.all():
+        B = std.A[:, basis[0]]
         try:
-            duals = np.linalg.solve(B.T, std.c[basis])
+            duals = np.linalg.solve(B.T, std.c[basis[0]])
         except np.linalg.LinAlgError:
             duals = None
-    return ("optimal", y, duals)
+    return ("optimal", y[0], duals)
 
 
 def _solution_from_std(prog: Program, std: _StdForm, status: str,

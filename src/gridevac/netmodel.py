@@ -173,6 +173,11 @@ class NetworkModel:
         return [NodeId(b.id, p) for b in self.buses for p in b.phases]
 
     @cached_property
+    def sorted_nodes(self) -> Tuple[NodeId, ...]:
+        """Every node in sorted order: the order violation reports list them in."""
+        return tuple(sorted(self.nodes()))
+
+    @cached_property
     def arrays(self) -> "FeederArrays":
         """The feeder compiled to arrays, built on first use."""
         return FeederArrays.compile(self)

@@ -208,8 +208,10 @@ def snapshot_for(scenario: ScenarioData, t: int,
 
 
 def score_violations(v2: Mapping[NodeId, float], t: int, v_max: float, v_min: float,
-                     report: ViolationReport) -> None:
-    for node in sorted(v2):
+                     report: ViolationReport, nodes: Sequence[NodeId]) -> None:
+    """Append v2's bound violations at t to ``report``, node by node in the
+    order of ``nodes`` (``NetworkModel.sorted_nodes`` for a report)."""
+    for node in nodes:
         v = v2[node]
         if v > v_max:
             report.entries.append(ViolationEntry(node, t, "over", v - v_max))
@@ -237,7 +239,8 @@ def simulate_states(scenario: ScenarioData,
             raise PowerFlowError(f"t={t}: {exc}") from exc
         for node, v in sol.v2.items():
             v_map[(node, t)] = v
-        score_violations(sol.v2, t, scenario.v_max, scenario.v_min, report)
+        score_violations(sol.v2, t, scenario.v_max, scenario.v_min, report,
+                         net.sorted_nodes)
     return v_map, report
 
 

@@ -5,13 +5,78 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from gridevac import cla
+from gridevac import cla, mathprog
 from gridevac.cla import (
     ClaError, ClaFunction, ClaModel, GridOracle, OVER, SampleSet, UNDER,
     append_samples, compute_targets, default_sample_count, draw_samples,
-    fit_cla, load_model, save_model, scenario_hash,
+    fit_cla, fit_clas, load_model, save_model, scenario_hash,
 )
 from gridevac.netmodel import FeederSpec, NodeId, generate_synthetic_feeder
+
+
+def _reference_program(samples, node, t, sense):
+    """The L1 fit as a named-variable Program: the formulation ``fit_clas``
+    writes directly in standard form, kept as its reference."""
+    v = samples.targets[(node, t)]
+    P = samples.p_matrix
+    n_k, M = P.shape
+    prog = mathprog.Program(name=f"cla_{node.bus}_{node.phase}_{t}_{sense}", sense="min")
+    prog.add_variable("a0", lower=-mathprog.INF, upper=mathprog.INF)
+    for k in range(n_k):
+        prog.add_variable(f"a1_{k}", lower=-mathprog.INF, upper=mathprog.INF)
+    for m in range(M):
+        prog.add_variable(f"r_{m}", lower=0.0)
+    prog.set_objective({f"r_{m}": 1.0 for m in range(M)})
+    for m in range(M):
+        terms = {"a0": 1.0}
+        for k in range(n_k):
+            if P[k, m] != 0.0:
+                terms[f"a1_{k}"] = float(P[k, m])
+        if sense == OVER:
+            prog.add_constraint(f"cons_{m}", terms, ">=", float(v[m]))
+            prog.add_constraint(f"res_{m}", {**terms, f"r_{m}": -1.0}, "<=", float(v[m]))
+        else:
+            prog.add_constraint(f"cons_{m}", terms, "<=", float(v[m]))
+            prog.add_constraint(f"res_{m}", {**terms, f"r_{m}": 1.0}, ">=", float(v[m]))
+    return prog
+
+
+def _reference_fit_cla(samples, node, t, sense):
+    """The Program path ``fit_clas`` replaces: one LP at a time through
+    ``solve_lp``."""
+    n_k = samples.p_matrix.shape[0]
+    sol = mathprog.solve_lp(_reference_program(samples, node, t, sense))
+    assert sol.status == "optimal"
+    return ClaFunction(node=node, t=t, sense=sense, a0=sol.values["a0"],
+                       a1=np.array([sol.values[f"a1_{k}"] for k in range(n_k)]),
+                       buses=list(samples.buses), objective=sol.objective)
+
+
+def _bits(f):
+    """a0, a1 and objective as raw bytes: equal bytes means equal values with
+    the same signs of zero."""
+    return (np.float64(f.a0).tobytes(), np.asarray(f.a1, dtype=float).tobytes(),
+            np.float64(f.objective).tobytes())
+
+
+def _assert_fits_match_reference(samples, keys):
+    fits = fit_clas(samples, keys)
+    assert [(f.node, f.t, f.sense) for f in fits] == list(keys)
+    for f, key in zip(fits, keys):
+        assert _bits(f) == _bits(_reference_fit_cla(samples, *key)), key
+    # The standard form is the one the Program standardizes to, bit for bit
+    # (the cost row's signs of zero never reach a solution).
+    forms = []
+    batches = mathprog.two_phase_batches
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mathprog, "two_phase_batches",
+                   lambda A, b, c: forms.append((A[0], b[0], c)) or batches(A, b, c))
+        for key in keys:
+            fit_clas(samples, [key])
+            A, b, c = forms.pop()
+            std = mathprog._standardize(_reference_program(samples, *key))
+            assert A.tobytes() == std.A.tobytes() and b.tobytes() == std.b.tobytes(), key
+            assert np.array_equal(c, std.c)
 
 
 def _manual_samples(p_rows, targets):
@@ -186,6 +251,59 @@ class TestFitCla:
         for sense in (OVER, UNDER):
             f = fit_cla(samples, node, t, sense)
             assert f.objective >= res.fun - 1e-9
+
+
+class TestBatchedFits:
+    @pytest.mark.parametrize("name", ["tiny", "three_phase", "weak"])
+    def test_fixture_fits_match_reference(self, name, request):
+        _, scn = request.getfixturevalue(name)
+        samples = draw_samples(scn, default_sample_count(scn), seed=6)
+        nodes = scn.network.nodes()
+        times = [1, scn.T // 2, scn.T]
+        compute_targets(scn, samples, nodes, times)
+        keys = [(n, t, s) for n in nodes for t in times for s in (OVER, UNDER)]
+        _assert_fits_match_reference(samples, keys)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_inputs_match_reference(self, data):
+        """Row flips (negative targets), zero demand rows, duplicate sample
+        columns, both senses, and batches of one, of mixed sizes, and split
+        by the tableau byte cap."""
+        n_k = data.draw(st.integers(1, 3))
+        M = data.draw(st.integers(n_k + 2, n_k + 6))
+        level = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0])
+        P = np.array(data.draw(st.lists(st.lists(level, min_size=M, max_size=M),
+                                        min_size=n_k, max_size=n_k)))
+        if data.draw(st.booleans()):
+            P[data.draw(st.integers(0, n_k - 1))] = 0.0
+        if data.draw(st.booleans()):
+            P[:, -1] = P[:, 0]
+        target = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]),
+                           st.floats(-2.0, 2.0, allow_nan=False))
+        n_keys = data.draw(st.integers(1, 8))
+        samples = _manual_samples(P, {})
+        keys = []
+        for i in range(n_keys):
+            v = data.draw(st.lists(target, min_size=M, max_size=M))
+            if keys and data.draw(st.booleans()):  # same sign pattern, new values
+                v = np.where(samples.targets[(keys[-1][0], 1)] < 0, -1.0, 1.0) * np.abs(v)
+            node = NodeId(f"n{i}", "a")
+            samples.targets[(node, 1)] = np.asarray(v, dtype=float)
+            keys.append((node, 1, data.draw(st.sampled_from([OVER, UNDER]))))
+        cap = data.draw(st.sampled_from([1, 3, None]))  # LPs per chunk
+        with pytest.MonkeyPatch.context() as mp:
+            if cap is not None:
+                m, n = 2 * M, 2 + 2 * n_k + 3 * M
+                mp.setattr(mathprog, "BATCH_BYTES", cap * 8 * (m + 1) * (n + m + 1))
+            _assert_fits_match_reference(samples, keys)
+
+    def test_errors_name_the_first_bad_key(self):
+        samples = _manual_samples([[0.0, 1.0]], {(NodeId("n", "a"), 1): [1.0, 0.9]})
+        good = (NodeId("n", "a"), 1, OVER)
+        with pytest.raises(ClaError, match="no targets computed for node m.a"):
+            fit_clas(samples, [good, (NodeId("m", "a"), 1, OVER), (NodeId("n", "a"), 1, "up")])
+        assert fit_clas(samples, []) == []
 
 
 class TestPredict:

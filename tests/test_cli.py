@@ -216,6 +216,15 @@ class TestSampleFitOracle:
         assert len(doc["functions"]) == 2
         assert {f["sense"] for f in doc["functions"]} == {"under"}
 
+    def test_fit_unknown_node_is_cli_error(self, tiny_dir, tmp_path):
+        res = run_cli("fit", *scenario_args(tiny_dir),
+                      "--out", tmp_path / "m.json", "--seed", 3,
+                      "--nodes", "zz.a", "--times", "1")
+        assert res.returncode == 1
+        assert "error: unknown node(s) zz.a" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "m.json").exists()
+
     def test_fit_time_out_of_range(self, tiny_dir, tmp_path):
         res = run_cli("fit", *scenario_args(tiny_dir),
                       "--out", tmp_path / "m.json", "--seed", 3,

@@ -157,6 +157,10 @@ class TestBruteForceOracle:
         _, starts = brute_force_oracle(scn, 0.0)
         schedule = schedule_from_starts(scn, starts)
         validate_schedule(schedule, scn)
+        for ev in scn.evs:  # the running count adds up as the per-step sums did
+            on = schedule.c_ev[ev.id]
+            assert schedule.batteries[ev.id] == [ev.soc0] + [
+                ev.soc0 + sum(on[:t - 1]) / scn.beta for t in range(1, scn.T + 1)]
 
 
 class TestAffineHook:

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
 from gridevac import mathprog
 from gridevac.mathprog import (
@@ -142,6 +143,143 @@ class TestSolveLp:
             a = solve_lp(prog, backend="builtin")
             b = solve_lp(prog, backend="highs")
             assert a.objective == pytest.approx(b.objective, abs=1e-8)
+
+
+def _standard_lp(rng, kind, m, k, negative_zeros=False):
+    """min c'y, Ay = b, y >= 0 with A = [R | D], D a diagonal of slacks.
+
+    'infeasible': row 0 is negative throughout with b0 > 0. 'unbounded':
+    every slack starts basic and a column of cost -1 has no positive entry.
+    'redundant': rows 0 and 1 are equal, have no slack, and the rest is
+    satisfiable, so phase 1 drops a row. Otherwise random; rounding gives
+    ties and degenerate pivots, and -0.0 entries when ``negative_zeros``.
+    """
+    R = np.round(rng.uniform(-1.0, 1.0, (m, k)), 1)
+    d = rng.choice([-1.0, 1.0], m)
+    b = np.round(rng.uniform(0.0, 2.0, m), 1)
+    c = np.concatenate([np.round(rng.uniform(-1.0, 1.0, k), 1), np.zeros(m)])
+    if kind == "infeasible":
+        R[0], d[0], b[0] = -np.abs(R[0]) - 0.5, -1.0, 1.0
+    elif kind == "unbounded":
+        d[:] = 1.0
+        R[:, 0], c[0] = -np.abs(R[:, 0]), -1.0
+    elif kind == "redundant":
+        R[0] = R[1] = np.abs(R[0]) + 0.5
+        b[1], d[:2] = b[0], 0.0
+        R[2:], d[2:] = -np.abs(R[2:]), 1.0
+    if negative_zeros:
+        b[rng.random(m) < 0.3] = -0.0
+    else:
+        R, b = R + 0.0, b + 0.0
+    return np.hstack([R, np.diag(d) + 0.0]), b, c
+
+
+def _by_lp(batches):
+    """Results of ``two_phase_batches`` per LP: (status, y, basis, alive) bytes."""
+    out = {}
+    for lps, status, y, basis, alive in batches:
+        for g, lp in enumerate(lps):
+            out[int(lp)] = (status[g], y[g].tobytes(), basis[g].tobytes(),
+                            alive[g].tobytes())
+    return out
+
+
+class TestBatchedSimplex:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kinds=st.lists(st.sampled_from(["random", "infeasible", "unbounded",
+                                           "redundant"]), min_size=1, max_size=6),
+           m=st.integers(2, 5), k=st.integers(1, 4),
+           max_iter=st.sampled_from([None, 1, 2, 5]), shared=st.booleans(),
+           negative_zeros=st.booleans(), per_chunk=st.sampled_from([1, 2, None]))
+    def test_batch_matches_one_at_a_time(self, seed, kinds, m, k, max_iter, shared,
+                                         negative_zeros, per_chunk):
+        rng = np.random.default_rng(seed)
+        lps = [_standard_lp(rng, kind, m, k, negative_zeros) for kind in kinds]
+        A = np.array([lps[0][0] if shared else A for A, _, _ in lps])
+        b = np.array([b for _, b, _ in lps])
+        c = np.array([c for _, _, c in lps])
+        singles = {}
+        for i in range(len(lps)):
+            (one,) = _by_lp(mathprog.two_phase_batches(
+                A[i:i + 1], b[i:i + 1], c[i:i + 1], max_iter)).values()
+            singles[i] = one
+        with pytest.MonkeyPatch.context() as mp:
+            if per_chunk is not None:
+                n = k + m
+                mp.setattr(mathprog, "BATCH_BYTES", per_chunk * 8 * (m + 1) * (n + m + 1))
+            assert _by_lp(mathprog.two_phase_batches(A, b, c, max_iter)) == singles
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kinds=st.lists(st.sampled_from(["random", "infeasible", "unbounded",
+                                           "redundant"]), min_size=1, max_size=4),
+           m=st.integers(2, 5), k=st.integers(1, 4), negative_zeros=st.booleans())
+    def test_sparse_pivots_solve_as_full_pivots(self, seed, kinds, m, k,
+                                                 negative_zeros):
+        rng = np.random.default_rng(seed)
+        lps = [_standard_lp(rng, kind, m, k, negative_zeros) for kind in kinds]
+        A, b, c = (np.array([lp[i] for lp in lps]) for i in range(3))
+        got = _by_lp(mathprog.two_phase_batches(A, b, c))
+        pivot = mathprog._pivot
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mathprog, "_pivot",
+                       lambda tab, basis, lps, rows, cols, sparse=False:
+                       pivot(tab, basis, lps, rows, cols))
+            assert _by_lp(mathprog.two_phase_batches(A, b, c)) == got
+
+    def test_generated_lps_reach_every_outcome(self):
+        rng = np.random.default_rng(0)
+
+        def solve(kind, max_iter=None):
+            A, b, c = _standard_lp(rng, kind, 4, 3)
+            ((_, status, _, _, alive),) = mathprog.two_phase_batches(
+                A[None], b[None], c, max_iter)
+            return status[0], alive[0]
+
+        assert solve("infeasible")[0] == "infeasible"
+        assert solve("unbounded")[0] == "unbounded"
+        status, alive = solve("redundant")
+        assert status == "optimal" and alive.sum() == 3
+        assert solve("redundant", max_iter=1)[0] == "limit"
+
+
+class TestSparsePivot:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), B=st.integers(1, 4), m=st.integers(1, 5),
+           n=st.integers(1, 6))
+    def test_matches_full_pivot(self, seed, B, m, n):
+        """Constraint rows bit for bit, with no -0.0 in them beforehand; the
+        pivot may be negative, turn tiny entries into -0.0 by underflow, or
+        meet an infinite pivot column (then every row must be updated)."""
+        rng = np.random.default_rng(seed)
+        tab = rng.choice([0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 5e-324, -5e-324],
+                         size=(B, m + 1, n + 1))
+        tab[:, m] = rng.choice([-0.0, 0.0, 1.0, -1.0], size=(B, n + 1))
+        lps = np.sort(rng.permutation(B)[:rng.integers(1, B + 1)])
+        rows, cols = rng.integers(0, m, lps.size), rng.integers(0, n, lps.size)
+        tab[lps, rows, cols] = rng.choice([4.0, -4.0, 0.5], size=lps.size)
+        if rng.random() < 0.3:
+            tab[lps[0], rng.integers(0, m + 1), cols[0]] = np.inf
+            tab[lps[0], rows[0], cols[0]] = 4.0
+        full, part = tab.copy(), tab.copy()
+        basis_full, basis_part = np.zeros((B, m), int), np.zeros((B, m), int)
+        with np.errstate(invalid="ignore"):  # inf * 0 in a full update
+            mathprog._pivot(full, basis_full, lps, rows, cols)
+            mathprog._pivot(part, basis_part, lps, rows, cols, sparse=True)
+        assert full[:, :m].tobytes() == part[:, :m].tobytes()
+        assert np.array_equal(full[:, m], part[:, m], equal_nan=True)
+        assert (basis_full == basis_part).all()
+
+    def test_negative_zero_in_tableau_keeps_full_pivots(self):
+        # The first pivot is degenerate (zero right-hand side) and meets row
+        # 1's -0.0 right-hand side with a negative pivot-column entry: a full
+        # pivot turns it into +0.0, which reaches y[2]; a sparse one would not.
+        A = np.array([[[1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]]])
+        b = np.array([[0.0, -0.0]])
+        ((_, status, y, _, _),) = mathprog.two_phase_batches(A, b, np.array([-1.0, 0, 0]))
+        assert status[0] == "optimal"
+        assert y[0].tobytes() == np.zeros(3).tobytes()
 
 
 class TestSolveMilp:

@@ -7,7 +7,8 @@ from gridevac.netmodel import (
 )
 from gridevac.powerflow import (
     InjectionSnapshot, VoltageSolution, ViolationEntry, ViolationReport,
-    demand_array, power_balance, simulate_states, snapshot_for, solve_pf, sweep,
+    demand_array, power_balance, score_violations, simulate_states, snapshot_for,
+    solve_pf, sweep,
 )
 
 
@@ -328,6 +329,22 @@ class TestViolations:
         ])
         assert rep.total == pytest.approx(0.005)
         assert rep.count() == 2
+
+    def test_report_lists_nodes_sorted(self):
+        # Twelve buses: b10 and b11 sort before b2, unlike the sweep's order.
+        net, scn = generate_synthetic_feeder(FeederSpec(
+            n_buses=12, phases="ab", n_tazs=1, evs_per_taz=2, seed=1, T=4, beta=2))
+        v2 = solve_pf(net, snapshot_for(scn, 1, [True] * len(scn.evs))).require_converged().v2
+        values = sorted(v2.values())
+        v_min, v_max = values[len(values) // 3], values[2 * len(values) // 3]
+        report = ViolationReport()
+        score_violations(v2, 1, v_max, v_min, report, net.sorted_nodes)
+        assert list(net.sorted_nodes) == sorted(v2) != list(v2)
+        assert report.entries == [
+            ViolationEntry(node, 1, "over" if v2[node] > v_max else "under",
+                           v2[node] - v_max if v2[node] > v_max else v_min - v2[node])
+            for node in sorted(v2) if not v_min <= v2[node] <= v_max]
+        assert {e.kind for e in report.entries} == {"over", "under"}
 
     def test_all_zero_schedule_on_base_case(self, weak):
         _, scn = weak
