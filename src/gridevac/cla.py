@@ -31,26 +31,54 @@ class ClaError(RuntimeError):
 class GridOracle:
     """Squared-voltage oracle backed by the power flow solver.
 
-    Given a time step and per-EV charging states, returns the read-only map
-    of squared voltage magnitudes at every node. Results are memoized per
-    (t, states), so each distinct pair costs one power flow per oracle.
-    Tests may substitute any object with the same ``node_voltages``
+    Given (time step, per-EV charging states) pairs, returns the read-only
+    maps of squared voltage magnitudes at every node. Results are memoized
+    per pair, so each distinct pair is swept once per oracle; v² does not
+    depend on the violation budget, so one oracle may serve every budget of
+    a scenario. Tests may substitute any object with the same ``voltages``
     signature whose maps cover every node of the network (e.g. an
     exactly-affine response).
     """
 
     def __init__(self, scenario: ScenarioData):
         self.scenario = scenario
-        self._memo: Dict[Tuple[int, bytes], Mapping[NodeId, float]] = {}
+        # A pair whose power flow failed maps to its PowerFlowError.
+        self._memo: Dict[Tuple[int, bytes], object] = {}
+
+    def voltages(self, pairs: Iterable[Tuple[int, Sequence[bool]]]
+                 ) -> List[Mapping[NodeId, float]]:
+        """Maps for (t, EV states) pairs, in request order.
+
+        Pairs not yet memoized are solved together in one batched sweep,
+        each distinct pair once. A pair whose power flow fails is memoized
+        as its failure, and the first failed pair in request order raises
+        the ``PowerFlowError`` that solving it alone would raise; the other
+        pairs of the sweep stay memoized.
+        """
+        pairs = list(pairs)
+        keys = [(t, np.asarray(states, dtype=bool).tobytes()) for t, states in pairs]
+        todo = {}
+        for key, (t, states) in zip(keys, pairs):
+            if key not in self._memo and key not in todo:
+                todo[key] = powerflow.snapshot_for(self.scenario, t, states)
+        if todo:
+            net = self.scenario.network
+            result = powerflow.sweep(net, powerflow.demand_array(net, list(todo.values())))
+            for b, key in enumerate(todo):
+                try:
+                    self._memo[key] = MappingProxyType(
+                        result.solution(b).require_converged().v2)
+                except powerflow.PowerFlowError as exc:
+                    self._memo[key] = exc
+        out = [self._memo[key] for key in keys]
+        for v2 in out:
+            if isinstance(v2, powerflow.PowerFlowError):
+                raise powerflow.PowerFlowError(*v2.args)
+        return out
 
     def node_voltages(self, t: int, ev_states: Sequence[bool]) -> Mapping[NodeId, float]:
-        key = (t, np.asarray(ev_states, dtype=bool).tobytes())
-        v2 = self._memo.get(key)
-        if v2 is None:
-            snap = powerflow.snapshot_for(self.scenario, t, ev_states)
-            sol = powerflow.solve_pf(self.scenario.network, snap).require_converged()
-            v2 = self._memo[key] = MappingProxyType(sol.v2)
-        return v2
+        """The map of one (t, states) pair: ``voltages`` of one pair."""
+        return self.voltages([(t, ev_states)])[0]
 
 
 @dataclass
@@ -130,9 +158,10 @@ def compute_targets(scenario: ScenarioData, samples: SampleSet,
                     oracle=None) -> SampleSet:
     """Fill ``samples.targets`` for nodes x times over all current columns.
 
-    One oracle solve covers every node at a given (t, column); results are
-    cached per column so appended columns only trigger new solves. Raises
-    ClaError for a node that is not in the network.
+    One oracle map covers every node at a given (t, column); maps are cached
+    per (t, column), and the missing ones are requested in one oracle call,
+    so appended columns only trigger new solves. Raises ClaError for a node
+    that is not in the network.
     """
     nodes = list(nodes)
     known = set(scenario.network.nodes())
@@ -143,11 +172,11 @@ def compute_targets(scenario: ScenarioData, samples: SampleSet,
         oracle = GridOracle(scenario)
     times = sorted(set(times))
     M = samples.M
+    missing = [(t, m) for t in times for m in range(M) if (t, m) not in samples._vcache]
+    if missing:
+        maps = oracle.voltages([(t, samples.ev_states[:, m]) for t, m in missing])
+        samples._vcache.update(zip(missing, maps))
     for t in times:
-        for m in range(M):
-            if (t, m) not in samples._vcache:
-                samples._vcache[(t, m)] = oracle.node_voltages(
-                    t, samples.ev_states[:, m])
         for node in nodes:
             vec = np.array([samples._vcache[(t, m)][node] for m in range(M)])
             samples.targets[(node, t)] = vec

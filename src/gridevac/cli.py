@@ -192,17 +192,21 @@ def _write_summary(outdir: Path, status: str, schedule, report, trace,
 
 
 def _emit_solve_artifacts(outdir: Path, scn, result: congen.CongenResult,
-                          prov: Dict, timing: bool) -> None:
+                          prov: Dict, timing: bool, oracle: cla.GridOracle
+                          ) -> Optional[powerflow.ViolationReport]:
+    """Write the artifacts of one solve; returns the re-simulated schedule's
+    violation report (None without a schedule)."""
     outdir.mkdir(parents=True, exist_ok=True)
     report = None
     if result.schedule is not None:
         _write_schedule(outdir, result.schedule, scn, prov)
-        _, report = powerflow.simulate_schedule(scn, result.schedule)
+        report = congen._simulate(scn, result.schedule, oracle)
         _write_violations(outdir, report, prov)
         cla.save_model(result.cla_model, outdir / "model.json")
     _write_trace(outdir, result.trace, prov, timing)
     _write_summary(outdir, result.status, result.schedule, report,
                    result.trace, scn.lambda_max, prov)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -367,16 +371,17 @@ def solve(network, loads, evs, tazs, config, out, seed, m_samples, lambda_max,
     if lambda_max is not None:
         scn = congen._with_lambda(scn, lambda_max)
     prov = _provenance(seed, _scenario_inputs(network, loads, evs, tazs, config))
+    oracle = cla.GridOracle(scn)
     try:
         if naive:
             result = congen.solve_naive(scn)
         else:
             result = congen.run(scn, _congen_config(m_samples, seed, max_iters,
-                                                    external_solver))
+                                                    external_solver), oracle=oracle)
     except (congen.CongenError, cla.ClaError, eevc.ScheduleError,
             powerflow.PowerFlowError) as exc:
         raise CliError(str(exc)) from exc
-    _emit_solve_artifacts(Path(out), scn, result, prov, timing)
+    _emit_solve_artifacts(Path(out), scn, result, prov, timing, oracle)
     for rec in result.trace:
         _info(f"iter {rec.iteration}: gamma={rec.gamma_max} "
               f"pred_slack={rec.predicted_slack_sum:.6g} "
@@ -417,6 +422,7 @@ def sweep(network, loads, evs, tazs, config, out, seed, m_samples, lambdas,
     scn = _load_scenario(network, loads, evs, tazs, config)
     prov = _provenance(seed, _scenario_inputs(network, loads, evs, tazs, config))
     cfg = _congen_config(m_samples, seed, max_iters, external_solver)
+    oracle = cla.GridOracle(scn)  # v² does not depend on the budget
 
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -426,13 +432,13 @@ def sweep(network, loads, evs, tazs, config, out, seed, m_samples, lambdas,
         sub = outdir / f"lam_{i:02d}"
         scn_l = congen._with_lambda(scn, lam)
         try:
-            result = congen.run(scn_l, cfg)
+            result = congen.run(scn_l, cfg, oracle=oracle)
         except (congen.CongenError, cla.ClaError, eevc.ScheduleError,
                 powerflow.PowerFlowError) as exc:
             raise CliError(f"lambda={lam}: {exc}") from exc
-        _emit_solve_artifacts(sub, scn_l, result, prov, timing)
-        report = (powerflow.simulate_schedule(scn_l, result.schedule)[1]
-                  if result.status == "converged" else None)
+        report = _emit_solve_artifacts(sub, scn_l, result, prov, timing, oracle)
+        if result.status != "converged":
+            report = None
         rows.append([
             _fmt(lam),
             _fmt(scn.T - result.gamma_max) if (

@@ -76,10 +76,12 @@ def _solve_milp(prog: mathprog.Program, cfg: CongenConfig) -> mathprog.Solution:
 
 def _simulate(scenario: ScenarioData, schedule: ChargeSchedule, oracle
               ) -> powerflow.ViolationReport:
+    """Score the schedule's violations from one oracle call over all T steps."""
     report = powerflow.ViolationReport()
     nodes = scenario.network.sorted_nodes
-    for t in range(1, scenario.T + 1):
-        v2 = oracle.node_voltages(t, schedule.ev_states_at(t, scenario))
+    times = range(1, scenario.T + 1)
+    maps = oracle.voltages([(t, schedule.ev_states_at(t, scenario)) for t in times])
+    for t, v2 in zip(times, maps):
         powerflow.score_violations(v2, t, scenario.v_max, scenario.v_min, report, nodes)
     return report
 
@@ -152,11 +154,13 @@ def run(scenario: ScenarioData, config: Optional[CongenConfig] = None,
                 active.append(key)
                 added.append(key)
 
-        # Refit every active CLA over the enlarged sample set.
+        # Refit every active CLA over the enlarged sample set. Without new
+        # columns the earlier fits saw the same samples and targets, so only
+        # the added keys need a fit.
         nodes = sorted({k[0] for k in active})
         times = sorted({k[1] for k in active})
         cla.compute_targets(scenario, samples, nodes, times, oracle=oracle)
-        for f in cla.fit_clas(samples, active):
+        for f in cla.fit_clas(samples, active if new_cols else added):
             model.add(f)
         model.M = samples.M
 
@@ -220,15 +224,35 @@ def schedule_from_starts(scenario: ScenarioData, starts: Dict[str, Optional[int]
                 for t in range(s, min(s + w, T + 1)):
                     evon[t - 1] = 1
             c_ev[ev.id] = evon
-            # L^t = soc0 + (steps charged before t)/beta, from a running count.
-            batteries[ev.id] = [ev.soc0] + [
-                ev.soc0 + charged / scenario.beta
-                for charged in itertools.accumulate([0] + evon[:-1])
-            ]
+            batteries[ev.id] = eevc.battery_levels(ev.soc0, evon, scenario.beta)
     first = min((s for s in starts.values() if s is not None), default=None)
     gamma, tau = eevc.start_indicators(first, T)
     return ChargeSchedule(gamma_max=gamma, tau=tau, c_taz=c_taz, c_ev=c_ev,
                           batteries=batteries, objective=gamma)
+
+
+def _reachable_pairs(scenario: ScenarioData, choices: Sequence[Sequence[Optional[int]]]
+                     ) -> List[Tuple[int, np.ndarray]]:
+    """Every (t, EV states) pair that some start tuple reaches, given each
+    TAZ's start choices (in ``scenario.tazs`` order): at each t, the product
+    of the TAZs' distinct on/off patterns, since TAZs start independently."""
+    pos = {ev.id: e for e, ev in enumerate(scenario.evs)}
+    tazs = []
+    for z, starts in zip(scenario.tazs, choices):
+        members = scenario.evs_of_taz(z.id)
+        tazs.append(([pos[ev.id] for ev in members],
+                     [scenario.charge_steps(ev) for ev in members], starts))
+    pairs = []
+    for t in range(1, scenario.T + 1):
+        patterns = [dict.fromkeys(tuple(s is not None and s <= t < s + w for w in widths)
+                                  for s in starts)
+                    for _, widths, starts in tazs]
+        for combo in itertools.product(*patterns):
+            states = np.zeros(len(scenario.evs), dtype=bool)
+            for (idx, _, _), pattern in zip(tazs, combo):
+                states[idx] = pattern
+            pairs.append((t, states))
+    return pairs
 
 
 def brute_force_oracle(scenario: ScenarioData, lambda_max: float,
@@ -260,6 +284,13 @@ def brute_force_oracle(scenario: ScenarioData, lambda_max: float,
     if n_tuples > budget:
         raise CongenError(f"enumeration of {n_tuples} start tuples exceeds budget {budget}")
 
+    # One sweep covers every pair a tuple can reach, so the loop below reads
+    # memo hits. A pair whose power flow fails stays memoized as its failure
+    # and raises only if the loop requests it.
+    try:
+        oracle.voltages(_reachable_pairs(scenario, choices))
+    except powerflow.PowerFlowError:
+        pass
     best_gamma = None
     best_starts: Dict[str, Optional[int]] = {}
     for combo in itertools.product(*choices):
@@ -298,13 +329,14 @@ def sweep(scenario: ScenarioData, lambda_values: Sequence[float],
     values = sorted(lambda_values)
     if list(lambda_values) != values:
         raise CongenError("lambda values must be sorted ascending")
+    if oracle is None:
+        oracle = GridOracle(scenario)  # v² does not depend on the budget
     points = []
     for lam in values:
         scn = _with_lambda(scenario, lam)
         result = run(scn, config, oracle=oracle)
         if result.schedule is not None and result.status == "converged":
-            report = _simulate(scn, result.schedule,
-                               oracle or GridOracle(scn))
+            report = _simulate(scn, result.schedule, oracle)
             points.append(SweepPoint(
                 lambda_max=lam,
                 gamma_max=result.schedule.gamma_max,

@@ -7,9 +7,10 @@ surrogate voltage bounds with a shared violation budget.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,6 +77,14 @@ def start_indicators(first: Optional[int], T: int) -> Tuple[float, List[int]]:
     gamma = float(first) if first is not None else float(T)
     tau = [1 if first is not None and t >= first else 0 for t in range(1, T + 1)]
     return gamma, tau
+
+
+def battery_levels(soc0: float, on: Sequence[int], beta: int) -> List[float]:
+    """Battery levels L^0..L^T of an EV charging at the steps where `on` is
+    set: L^0 = soc0 and L^t = soc0 + (steps charged before t)/beta, from a
+    running count."""
+    return [soc0] + [soc0 + charged / beta
+                     for charged in itertools.accumulate([0, *on[:-1]])]
 
 
 def build_program(inst: EevcInstance, cla_model: Optional[ClaModel] = None
@@ -252,9 +261,7 @@ def decode(prog: mathprog.Program, sol: mathprog.Solution,
     # solver's levels against them (guards against LP feasibility slop).
     batteries = {}
     for ev in scn.evs:
-        c = c_ev[ev.id]
-        # L^t = soc0 + (steps charged before t)/beta; L^0 = soc0.
-        batt = [ev.soc0] + [ev.soc0 + sum(c[:t - 1]) / scn.beta for t in range(1, T + 1)]
+        batt = battery_levels(ev.soc0, c_ev[ev.id], scn.beta)
         for t in range(1, T + 1):
             lv = sol.values[f"L_{ev.id}_{t}"]
             if abs(lv - batt[t]) > DECODE_TOL:
@@ -286,8 +293,7 @@ def validate_schedule(schedule: ChargeSchedule, scn: ScenarioData,
         batt = schedule.batteries[ev.id]
         c = schedule.c_ev[ev.id]
         # Exact battery recursion: L_t = soc0 + sum_{t'<t} c_{t'} / beta.
-        for t in range(0, T + 1):
-            expect = ev.soc0 + sum(c[:max(t - 1, 0)]) / beta if t >= 1 else ev.soc0
+        for t, expect in enumerate(battery_levels(ev.soc0, c, beta)):
             if abs(batt[t] - expect) > BATTERY_TOL:
                 raise ScheduleError(
                     f"EV {ev.id}: battery recursion broken at t={t} "

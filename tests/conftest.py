@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import gridevac
-from gridevac import fixtures
+from gridevac import fixtures, powerflow
+from gridevac.netmodel import FeederSpec, generate_synthetic_feeder
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -34,6 +35,28 @@ def weak():
     return fixtures.weak_feeder()
 
 
+@pytest.fixture(scope="session")
+def mid():
+    """20-bus three-phase feeder shaped like the benchmark's mid feeder."""
+    return generate_synthetic_feeder(FeederSpec(
+        n_buses=20, phases="abc", n_tazs=3, evs_per_taz=4, impedance_scale=6.0,
+        seed=1, T=24, beta=4, load_scale=0.5))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def sweep_sizes(monkeypatch):
+    """Batch size of each ``powerflow.sweep`` call made during the test."""
+    sizes = []
+    sweep = powerflow.sweep
+
+    def counting(net, demand, *args, **kwargs):
+        sizes.append(len(demand))
+        return sweep(net, demand, *args, **kwargs)
+
+    monkeypatch.setattr(powerflow, "sweep", counting)
+    return sizes

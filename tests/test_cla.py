@@ -5,13 +5,16 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from gridevac import cla, mathprog
+from gridevac import cla, mathprog, powerflow
 from gridevac.cla import (
     ClaError, ClaFunction, ClaModel, GridOracle, OVER, SampleSet, UNDER,
     append_samples, compute_targets, default_sample_count, draw_samples,
     fit_cla, fit_clas, load_model, save_model, scenario_hash,
 )
-from gridevac.netmodel import FeederSpec, NodeId, generate_synthetic_feeder
+from gridevac.netmodel import (
+    Bus, Ev, FeederSpec, Line, NetworkModel, NodeId, ScenarioData, Taz,
+    generate_synthetic_feeder,
+)
 
 
 def _reference_program(samples, node, t, sense):
@@ -159,6 +162,110 @@ class TestComputeTargets:
         node = NodeId(scn.ev_buses[0], "a")
         compute_targets(scn, samples, [node], [1])
         assert samples.targets[(node, 1)].shape == (1,)
+
+
+def _collapse_scenario():
+    """One EV on a two-bus feeder: charging puts 2 p.u. behind 0.5 p.u. of
+    line, so the first sweep drives the bus to exactly zero (1 - 0.5 * 2)."""
+    net = NetworkModel(
+        buses=(Bus("b0", ("a",)), Bus("b1", ("a",))),
+        lines=(Line("b0", "b1", ("a",), np.array([[0.5 + 0j]])),),
+        source_bus="b0", source_voltage={"a": 1.0 + 0j}, base_kv=4.16, base_kva=500.0)
+    return ScenarioData(network=net, background={}, tazs=(Taz("z", 4),),
+                        evs=(Ev("e", "z", NodeId("b1", "a"), 0.5),),
+                        T=4, beta=4, rate_kw=1000.0)
+
+
+def _v2_bits(v2):
+    return list(v2), np.array(list(v2.values())).tobytes()
+
+
+class TestBatchedOracle:
+    @pytest.mark.parametrize("name", ["tiny", "three_phase", "weak", "mid"])
+    def test_maps_match_one_at_a_time(self, name, request):
+        _, scn = request.getfixturevalue(name)
+        rng = np.random.default_rng(len(name))
+        pairs = [(t, rng.random(len(scn.evs)) < 0.5)
+                 for t in range(1, scn.T + 1) for _ in range(2)]
+        maps = GridOracle(scn).voltages(pairs)
+        assert len(maps) == len(pairs)
+        for (t, states), v2 in zip(pairs, maps):
+            alone = GridOracle(scn).node_voltages(t, states)
+            assert _v2_bits(v2) == _v2_bits(alone)
+
+    def test_duplicates_swept_once(self, weak, sweep_sizes):
+        _, scn = weak
+        on, off = [True] * len(scn.evs), [False] * len(scn.evs)
+        maps = GridOracle(scn).voltages([(3, on), (3, off), (3, np.array(on)), (4, off),
+                                         (3, tuple(off))])
+        assert sweep_sizes == [3]
+        assert maps[0] is maps[2] and maps[1] is maps[4]
+        assert maps[1] is not maps[3]
+
+    def test_memo_hits_across_calls(self, weak, sweep_sizes):
+        _, scn = weak
+        oracle = GridOracle(scn)
+        on, off = [True] * len(scn.evs), [False] * len(scn.evs)
+        first = oracle.voltages([(5, on), (6, on)])
+        second = oracle.voltages([(6, on), (7, off), (5, on)])
+        assert sweep_sizes == [2, 1]
+        assert second[0] is first[1] and second[2] is first[0]
+        assert oracle.node_voltages(7, off) is second[1]
+        assert oracle.voltages([]) == []
+        assert sweep_sizes == [2, 1]
+
+    def test_maps_are_read_only(self, tiny):
+        _, scn = tiny
+        (v2,) = GridOracle(scn).voltages([(1, [True] * len(scn.evs))])
+        with pytest.raises(TypeError):
+            v2[next(iter(v2))] = 0.0
+
+    def test_collapse_raises_only_when_requested(self, sweep_sizes):
+        scn = _collapse_scenario()
+        alone = [GridOracle(scn).node_voltages(t, [False]) for t in (2, 1)]
+        with pytest.raises(powerflow.PowerFlowError) as lazy:
+            powerflow.solve_pf(scn.network, powerflow.snapshot_for(scn, 1, [True]))
+        del sweep_sizes[:]
+        oracle = GridOracle(scn)
+        with pytest.raises(powerflow.PowerFlowError) as batched:
+            oracle.voltages([(1, [False]), (1, [True]), (2, [False])])
+        assert str(batched.value) == str(lazy.value) == (
+            "voltage collapse at bus b1 during sweep")
+        fine = oracle.voltages([(2, [False]), (1, [False])])
+        assert [_v2_bits(v2) for v2 in fine] == [_v2_bits(v2) for v2 in alone]
+        with pytest.raises(powerflow.PowerFlowError, match="collapse at bus b1"):
+            oracle.node_voltages(1, [True])
+        assert sweep_sizes == [3]
+
+    def test_compute_targets_sweeps_missing_columns_once(self, weak, sweep_sizes):
+        _, scn = weak
+        sizes = sweep_sizes
+        oracle = GridOracle(scn)
+        samples = draw_samples(scn, 12, seed=4)
+        nodes = [NodeId(b, "a") for b in scn.ev_buses]
+        swept = set()
+
+        def new_pairs(times):
+            pairs = {(t, samples.ev_states[:, m].tobytes())
+                     for t in times for m in range(samples.M)} - swept
+            swept.update(pairs)
+            return len(pairs)
+
+        compute_targets(scn, samples, nodes, [5, 9, 5], oracle=oracle)
+        assert sizes == [new_pairs([5, 9])]
+        extra = np.zeros((len(scn.evs), 2), dtype=bool)
+        extra[0, 0] = extra[-1, 1] = True
+        samples = append_samples(samples, scn, extra)
+        compute_targets(scn, samples, nodes, [9, 10], oracle=oracle)
+        compute_targets(scn, samples, nodes, [5, 10], oracle=oracle)
+        assert sizes[1:] == [new_pairs([9, 10]), new_pairs([5, 10])]
+        assert sizes[1] > sizes[2] > 0
+        assert sum(sizes) == len(oracle._memo) == len(swept)
+        for t in (5, 9, 10):
+            for m in range(samples.M):
+                v2 = oracle.node_voltages(t, samples.ev_states[:, m])
+                assert samples.targets[(nodes[0], t)][m] == v2[nodes[0]]
+        assert len(sizes) == 3
 
 
 class TestFitCla:

@@ -1,13 +1,29 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from gridevac import congen, powerflow
+from gridevac import cla, congen, powerflow
 from gridevac.cla import GridOracle
 from gridevac.congen import (
     CongenConfig, CongenError, brute_force_oracle, run, schedule_from_starts,
     sweep,
 )
 from gridevac.netmodel import FeederSpec, generate_synthetic_feeder
+
+
+def _reachable_by_enumeration(scn):
+    """Every (t, EV states) pair of every start tuple's schedule."""
+    choices = []
+    for z in scn.tazs:
+        need = max((scn.charge_steps(ev) for ev in scn.evs_of_taz(z.id)), default=0)
+        choices.append([None] if need == 0 else list(range(1, z.departure - need + 1)))
+    pairs = set()
+    for combo in itertools.product(*choices):
+        schedule = schedule_from_starts(scn, dict(zip((z.id for z in scn.tazs), combo)))
+        pairs.update((t, tuple(schedule.ev_states_at(t, scn)))
+                     for t in range(1, scn.T + 1))
+    return pairs
 
 
 class AffineOracle:
@@ -17,10 +33,10 @@ class AffineOracle:
 
     def __init__(self, scenario, gain=0.4, seed=0):
         self.scenario = scenario
-        real = GridOracle(scenario)
+        times = range(1, scenario.T + 1)
         n_off = [False] * len(scenario.evs)
-        self.base = {t: real.node_voltages(t, n_off)
-                     for t in range(1, scenario.T + 1)}
+        self.base = dict(zip(times, GridOracle(scenario).voltages(
+            [(t, n_off) for t in times])))
         rng = np.random.default_rng(seed)
         self.bus_index = {b: i for i, b in enumerate(scenario.ev_buses)}
         self.B = {
@@ -28,7 +44,10 @@ class AffineOracle:
             for node in scenario.network.nodes()
         }
 
-    def node_voltages(self, t, ev_states):
+    def voltages(self, pairs):
+        return [self._node_voltages(t, ev_states) for t, ev_states in pairs]
+
+    def _node_voltages(self, t, ev_states):
         p = np.zeros(len(self.scenario.ev_buses))
         r = self.scenario.rate_pu
         for ev, on in zip(self.scenario.evs, ev_states):
@@ -83,6 +102,51 @@ class TestRun:
         for prev, rec in zip(result.trace, result.trace[1:]):
             assert prev.actual_violation_total > scn.lambda_max or not rec.added
 
+    def test_simulation_is_one_sweep(self, weak, sweep_sizes):
+        _, scn = weak
+        schedule = run(scn, CongenConfig(seed=0, max_iters=1)).schedule
+        del sweep_sizes[:]
+        oracle = GridOracle(scn)
+        report = congen._simulate(scn, schedule, oracle)
+        assert sweep_sizes == [scn.T]
+        assert congen._simulate(scn, schedule, oracle).entries == report.entries
+        assert sweep_sizes == [scn.T]
+        _, reference = powerflow.simulate_schedule(scn, schedule)
+        assert report.entries == reference.entries
+
+    def test_refits_only_added_keys_when_no_column_is_added(self, monkeypatch):
+        _, scn = generate_synthetic_feeder(FeederSpec(
+            n_buses=12, phases="abc", n_tazs=3, evs_per_taz=2, impedance_scale=8.0,
+            seed=3, T=16, beta=4, load_scale=0.5))
+        calls = []
+        fit_clas = cla.fit_clas
+
+        def recording(samples, keys):
+            calls.append((samples.M, list(keys)))
+            return fit_clas(samples, keys)
+
+        monkeypatch.setattr(cla, "fit_clas", recording)
+        result = run(congen._with_lambda(scn, 0.0), CongenConfig(seed=1))
+        assert result.status == "converged"
+        ms = [m for m, _ in calls]
+        assert any(a == b for a, b in zip(ms, ms[1:]))
+        active = []
+        for prev_m, (m, keys) in zip([None] + ms, calls):
+            if m == prev_m:  # no column added: only the added keys are fit
+                assert not set(keys) & set(active)
+                active += keys
+            else:  # columns added: every active key is refit
+                assert keys[:len(active)] == active
+                active = list(keys)
+        assert active == [key for rec in result.trace for key in rec.added]
+        assert list(result.cla_model.functions) == active
+
+        def bits(f):
+            return np.float64(f.a0).tobytes(), f.a1.tobytes(), np.float64(f.objective).tobytes()
+
+        for f in fit_clas(result.samples, active):  # a full refit gives the same bits
+            assert bits(result.cla_model.get(f.node, f.t, f.sense)) == bits(f)
+
     def test_iteration_limit_status(self, weak):
         _, scn = weak
         result = run(congen._with_lambda(scn, 0.0),
@@ -121,7 +185,7 @@ class TestBruteForceOracle:
         assert result.status == "converged"
         assert result.gamma_max <= gamma_oracle
 
-    def test_memoized_oracle_solves_each_distinct_state_once(self, weak, monkeypatch):
+    def test_memoized_oracle_solves_each_distinct_state_once(self, weak, sweep_sizes):
         _, scn = weak
 
         class Unmemoized:
@@ -129,27 +193,81 @@ class TestBruteForceOracle:
                 self.pairs = set()
                 self.calls = 0
 
-            def node_voltages(self, t, ev_states):
-                self.calls += 1
-                self.pairs.add((t, tuple(bool(x) for x in ev_states)))
-                snap = powerflow.snapshot_for(scn, t, ev_states)
-                return powerflow.solve_pf(scn.network, snap).require_converged().v2
+            def voltages(self, pairs):
+                out = []
+                for t, ev_states in pairs:
+                    self.calls += 1
+                    self.pairs.add((t, tuple(bool(x) for x in ev_states)))
+                    snap = powerflow.snapshot_for(scn, t, ev_states)
+                    out.append(powerflow.solve_pf(scn.network, snap).require_converged().v2)
+                return out
 
+        reachable = _reachable_by_enumeration(scn)
         plain = Unmemoized()
         expected = brute_force_oracle(scn, 0.0, oracle=plain)
-        calls = []
-        solve_pf = powerflow.solve_pf
-        monkeypatch.setattr(powerflow, "solve_pf",
-                            lambda *a, **k: calls.append(1) or solve_pf(*a, **k))
+        assert plain.pairs == reachable
+        assert len(reachable) < plain.calls
+        del sweep_sizes[:]
         oracle = GridOracle(scn)
         assert brute_force_oracle(scn, 0.0, oracle=oracle) == expected
-        assert len(calls) == len(plain.pairs) < plain.calls
-        t, states = next(iter(plain.pairs))
+        assert sweep_sizes == [len(reachable)]
+        assert set(oracle._memo) == {(t, np.array(states).tobytes())
+                                     for t, states in reachable}
+        t, states = next(iter(reachable))
         first = oracle.node_voltages(t, list(states))
-        assert oracle.node_voltages(t, np.array(states)) == first
-        assert len(calls) == len(plain.pairs)
+        assert oracle.voltages([(t, np.array(states))]) == [first]
+        assert sweep_sizes == [len(reachable)]
         with pytest.raises(TypeError):
             first[next(iter(first))] = 0.0
+
+    def test_failed_pair_raises_only_when_requested(self, weak, monkeypatch):
+        _, scn = weak
+
+        class Recording(GridOracle):
+            def __init__(self, scenario):
+                super().__init__(scenario)
+                self.requests = []
+
+            def voltages(self, pairs):
+                pairs = list(pairs)
+                self.requests.append([(t, tuple(bool(x) for x in s)) for t, s in pairs])
+                return super().voltages(pairs)
+
+        recording = Recording(scn)
+        expected = brute_force_oracle(scn, 0.0, oracle=recording)
+        prefetched, *loop = recording.requests
+        requested = {pair for pairs in loop for pair in pairs}
+        assert requested < set(prefetched)
+        skipped = sorted(set(prefetched) - requested)[0]
+        reached = loop[0][0]
+
+        sweep = powerflow.sweep
+
+        def collapse_at(pair):
+            target = powerflow.demand_array(
+                scn.network, [powerflow.snapshot_for(scn, *pair)])[0]
+
+            def collapsing(net, demand, *args, **kwargs):
+                result = sweep(net, demand, *args, **kwargs)
+                for b in range(len(demand)):
+                    if np.array_equal(demand[b], target):
+                        result.collapsed[b] = "x"
+                return result
+            monkeypatch.setattr(powerflow, "sweep", collapsing)
+
+        collapse_at(skipped)
+        oracle = GridOracle(scn)
+        assert brute_force_oracle(scn, 0.0, oracle=oracle) == expected
+        with pytest.raises(powerflow.PowerFlowError, match="collapse at bus x"):
+            oracle.node_voltages(*skipped)
+
+        collapse_at(reached)
+        with pytest.raises(powerflow.PowerFlowError) as lazy:
+            powerflow.solve_pf(scn.network, powerflow.snapshot_for(scn, *reached))
+        with pytest.raises(powerflow.PowerFlowError) as batched:
+            brute_force_oracle(scn, 0.0)
+        assert str(batched.value) == str(lazy.value) == (
+            "voltage collapse at bus x during sweep")
 
     def test_schedule_from_starts_matches_validation(self, weak):
         from gridevac.eevc import validate_schedule

@@ -129,13 +129,6 @@ def _mixed_phase_net():
     )
 
 
-def _mid_feeder():
-    """20-bus three-phase feeder shaped like the benchmark's mid feeder."""
-    return generate_synthetic_feeder(FeederSpec(
-        n_buses=20, phases="abc", n_tazs=3, evs_per_taz=4, impedance_scale=6.0,
-        seed=1, T=24, beta=4, load_scale=0.5))
-
-
 def _assert_matches_reference(sol, ref):
     assert sol.iterations == ref.iterations
     assert sol.converged == ref.converged
@@ -156,10 +149,7 @@ class TestCompiledSweep:
 
     @pytest.mark.parametrize("fixture_name", ["tiny", "three_phase", "weak", "mid"])
     def test_matches_reference_one_and_batched(self, fixture_name, request):
-        if fixture_name == "mid":
-            net, scn = _mid_feeder()
-        else:
-            net, scn = request.getfixturevalue(fixture_name)
+        net, scn = request.getfixturevalue(fixture_name)
         snaps = _random_snapshots(scn, seed=len(fixture_name))
         refs = [_reference_solve_pf(net, snap) for snap in snaps]
         for snap, ref in zip(snaps, refs):
