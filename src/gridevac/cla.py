@@ -116,15 +116,16 @@ def _states_to_p(scenario: ScenarioData, states: np.ndarray) -> np.ndarray:
     return p
 
 
-def draw_samples(scenario: ScenarioData, M: int, seed: int) -> SampleSet:
-    """Bernoulli(0.5) per-EV samples; columns 0 and 1 forced all-off/all-on."""
+def _check_sample_count(scenario: ScenarioData, M: int) -> None:
     n_k = len(scenario.ev_buses)
     if n_k == 0:
         raise ClaError("scenario has no EVs, nothing to sample")
     if M < n_k + 2:
         raise ClaError(f"M={M} too small; need at least |K|+2 = {n_k + 2}")
-    rng = np.random.default_rng(seed)
-    states = rng.random((len(scenario.evs), M)) < 0.5
+
+
+def _sample_set(scenario: ScenarioData, states: np.ndarray, seed: int) -> SampleSet:
+    """Samples of the given columns, with columns 0 and 1 forced all-off/all-on."""
     states[:, 0] = False
     states[:, 1] = True
     return SampleSet(
@@ -133,6 +134,29 @@ def draw_samples(scenario: ScenarioData, M: int, seed: int) -> SampleSet:
         p_matrix=_states_to_p(scenario, states),
         seed=seed,
     )
+
+
+def draw_samples(scenario: ScenarioData, M: int, seed: int) -> SampleSet:
+    """Bernoulli(0.5) per-EV samples; columns 0 and 1 forced all-off/all-on."""
+    _check_sample_count(scenario, M)
+    rng = np.random.default_rng(seed)
+    return _sample_set(scenario, rng.random((len(scenario.evs), M)) < 0.5, seed)
+
+
+def draw_reachable_samples(scenario: ScenarioData, M: int, seed: int) -> SampleSet:
+    """Samples of the states a start-time schedule reaches: in each column
+    every TAZ is independently idle (p = 0.5) or k ~ U[0, window length)
+    steps into its charging window, and an EV charges iff k is below its own
+    charge steps. Columns 0 and 1 are forced all-off/all-on."""
+    _check_sample_count(scenario, M)
+    rng = np.random.default_rng(seed)
+    tazs = [z.id for z in scenario.tazs]
+    window = np.array([max(1, scenario.taz_charge_steps(z)) for z in tazs])
+    idle = rng.random((len(tazs), M)) < 0.5
+    k = rng.integers(0, window[:, None], size=(len(tazs), M))
+    row = [tazs.index(ev.taz) for ev in scenario.evs]
+    steps = np.array([scenario.charge_steps(ev) for ev in scenario.evs])
+    return _sample_set(scenario, ~idle[row] & (k[row] < steps[:, None]), seed)
 
 
 def append_samples(samples: SampleSet, scenario: ScenarioData,

@@ -2,8 +2,11 @@
 the exhaustive oracle, and report generation.
 
 Exit codes: 0 success/converged, 1 usage or input-file error, 2 MILP
-infeasible, 3 iteration limit. Diagnostics go to stderr; data goes to files
-(or stdout for the explicitly print-style ``pf`` subcommand).
+infeasible, 3 iteration limit. Commands return their exit code and ``main``
+returns it in turn, so an in-process caller never sees ``SystemExit``; only
+``python -m gridevac.cli`` and the ``gridevac`` script pass it to
+``sys.exit``. Diagnostics go to stderr; data goes to files (or stdout for the
+explicitly print-style ``pf`` subcommand).
 
 Every artifact carries a provenance header (tool version, seed, input file
 hashes). No timestamps are written unless ``--timing`` is given, so repeated
@@ -389,7 +392,7 @@ def solve(network, loads, evs, tazs, config, out, seed, m_samples, lambda_max,
               f"active={rec.n_active_constraints}")
     _info(f"status: {result.status}"
           + (f", gamma_max={result.gamma_max}" if result.schedule else ""))
-    sys.exit(_STATUS_EXIT[result.status])
+    return _STATUS_EXIT[result.status]
 
 
 @cli.command()
@@ -456,7 +459,7 @@ def sweep(network, loads, evs, tazs, config, out, seed, m_samples, lambdas,
         w.writerow(["lambda", "charge_time_steps", "viol_total", "viol_count",
                     "iters"])
         w.writerows(rows)
-    sys.exit(worst)
+    return worst
 
 
 @cli.command()
@@ -482,7 +485,7 @@ def oracle(network, loads, evs, tazs, config, lambda_max, out):
     if out:
         _write_json(out, payload)
     _info(f"oracle: gamma_opt={gamma} starts={starts}")
-    sys.exit(EXIT_OK if gamma is not None else EXIT_INFEASIBLE)
+    return EXIT_OK if gamma is not None else EXIT_INFEASIBLE
 
 
 # ---------------------------------------------------------------------------

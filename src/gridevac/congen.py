@@ -1,9 +1,10 @@
 """Iterative constraint generation for the charging MILP.
 
 Starts from the grid-blind ("naive") schedule, simulates it, and keeps
-adding surrogate voltage constraints for the (node, time) pairs that
-actually violated their bounds until the simulated violation total fits the
-operator's budget or the MILP proves infeasible.
+adding surrogate voltage constraints, at every time step, for the nodes and
+bounds that actually violated, until the simulated violation total fits the
+operator's budget or the MILP proves infeasible. The surrogates are fitted
+on states that start-time schedules reach.
 
 Also provides an exhaustive start-time oracle for tiny instances: because a
 fleet must charge to full once started, a schedule is fully determined by
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import cla, eevc, mathprog, powerflow
 from .cla import GridOracle, OVER, UNDER
-from .eevc import ChargeSchedule, EevcInstance
+from .eevc import ChargeSchedule, EevcInstance, schedule_from_starts
 from .netmodel import NodeId, ScenarioData
 
 DEFAULT_MAX_ITERS = 10
@@ -61,7 +62,6 @@ class CongenConfig:
     M: Optional[int] = None  # default: max(2|K| + 10, 30)
     seed: int = 0
     max_iters: int = DEFAULT_MAX_ITERS
-    node_limit: int = 200000
     use_external_solver: bool = False
 
 
@@ -71,7 +71,7 @@ def _solve_milp(prog: mathprog.Program, cfg: CongenConfig) -> mathprog.Solution:
 
         with tempfile.TemporaryDirectory() as tmp:
             return mathprog.solve_external(prog, workdir=tmp)
-    return mathprog.solve_milp(prog, node_limit=cfg.node_limit)
+    return mathprog.solve_milp(prog)
 
 
 def _simulate(scenario: ScenarioData, schedule: ChargeSchedule, oracle
@@ -95,7 +95,7 @@ def run(scenario: ScenarioData, config: Optional[CongenConfig] = None,
     lam = scenario.lambda_max
     M = cfg.M if cfg.M is not None else cla.default_sample_count(scenario)
 
-    samples = cla.draw_samples(scenario, M, cfg.seed)
+    samples = cla.draw_reachable_samples(scenario, M, cfg.seed)
     model = cla.ClaModel(seed=cfg.seed, M=M, scenario_hash=cla.scenario_hash(scenario))
     active: List[Tuple[NodeId, int, str]] = []
     trace: List[IterationRecord] = []
@@ -103,13 +103,9 @@ def run(scenario: ScenarioData, config: Optional[CongenConfig] = None,
 
     for it in range(1, cfg.max_iters + 1):
         t0 = time.perf_counter()
-        inst = EevcInstance(
-            scenario=scenario,
-            active_constraints=tuple(active),
-            lambda_max=lam,
-            include_grid=bool(active),
-        )
-        prog = eevc.build_program(inst, model if active else None)
+        inst = EevcInstance(scenario=scenario, active_constraints=tuple(active),
+                            lambda_max=lam)
+        prog = eevc.build_program(inst, model)
         sol = _solve_milp(prog, cfg)
         if sol.status == "infeasible":
             trace.append(IterationRecord(it, math.nan, math.nan, math.nan,
@@ -130,8 +126,9 @@ def run(scenario: ScenarioData, config: Optional[CongenConfig] = None,
             return CongenResult(status="converged", schedule=schedule, trace=trace,
                                 cla_model=model, samples=samples)
 
-        # Violated (node, t) pairs become active surrogate constraints; the
-        # schedule's charging states are appended as new samples first.
+        # A node that violates a bound at some t gets that bound's surrogate
+        # constraint at every t; the schedule's charging states at the
+        # violated steps are appended as new samples first.
         new_cols = []
         seen_cols = {tuple(samples.ev_states[:, m]) for m in range(samples.M)}
         violated_ts = sorted({e.t for e in report.entries})
@@ -148,11 +145,12 @@ def run(scenario: ScenarioData, config: Optional[CongenConfig] = None,
         active_set = set(active)
         for e in report.entries:
             sense = OVER if e.kind == "over" else UNDER
-            key = (e.node, e.t, sense)
-            if key not in active_set:
-                active_set.add(key)
-                active.append(key)
-                added.append(key)
+            for t in range(1, scenario.T + 1):
+                key = (e.node, t, sense)
+                if key not in active_set:
+                    active_set.add(key)
+                    active.append(key)
+                    added.append(key)
 
         # Refit every active CLA over the enlarged sample set. Without new
         # columns the earlier fits saw the same samples and targets, so only
@@ -176,7 +174,7 @@ def solve_naive(scenario: ScenarioData) -> CongenResult:
     """Grid-blind solve: one MILP without surrogate constraints, scored by a
     time-series simulation. Reports 'converged' unless the MILP is infeasible."""
     t0 = time.perf_counter()
-    inst = EevcInstance(scenario=scenario, include_grid=False)
+    inst = EevcInstance(scenario=scenario)
     prog = eevc.build_program(inst)
     sol = _solve_milp(prog, CongenConfig())
     model = cla.ClaModel(scenario_hash=cla.scenario_hash(scenario))
@@ -196,40 +194,6 @@ def solve_naive(scenario: ScenarioData) -> CongenResult:
 # ---------------------------------------------------------------------------
 # Exhaustive oracle
 # ---------------------------------------------------------------------------
-
-def schedule_from_starts(scenario: ScenarioData, starts: Dict[str, Optional[int]]
-                         ) -> ChargeSchedule:
-    """Build the unique schedule implied by one start time per TAZ.
-
-    Every EV of a starting TAZ charges from the start until full; a TAZ whose
-    EVs are all full has start None.
-    """
-    T = scenario.T
-    c_taz = {}
-    c_ev = {}
-    batteries = {}
-    for z in scenario.tazs:
-        members = scenario.evs_of_taz(z.id)
-        s = starts.get(z.id)
-        need = max((scenario.charge_steps(ev) for ev in members), default=0)
-        on = [0] * T
-        if s is not None and need > 0:
-            for t in range(s, min(s + need, T + 1)):
-                on[t - 1] = 1
-        c_taz[z.id] = on
-        for ev in members:
-            w = scenario.charge_steps(ev)
-            evon = [0] * T
-            if s is not None and w > 0:
-                for t in range(s, min(s + w, T + 1)):
-                    evon[t - 1] = 1
-            c_ev[ev.id] = evon
-            batteries[ev.id] = eevc.battery_levels(ev.soc0, evon, scenario.beta)
-    first = min((s for s in starts.values() if s is not None), default=None)
-    gamma, tau = eevc.start_indicators(first, T)
-    return ChargeSchedule(gamma_max=gamma, tau=tau, c_taz=c_taz, c_ev=c_ev,
-                          batteries=batteries, objective=gamma)
-
 
 def _reachable_pairs(scenario: ScenarioData, choices: Sequence[Sequence[Optional[int]]]
                      ) -> List[Tuple[int, np.ndarray]]:
@@ -265,19 +229,11 @@ def brute_force_oracle(scenario: ScenarioData, lambda_max: float,
     """
     if oracle is None:
         oracle = GridOracle(scenario)
-    choices: List[List[Optional[int]]] = []
-    taz_ids = []
-    for z in scenario.tazs:
-        members = scenario.evs_of_taz(z.id)
-        need = max((scenario.charge_steps(ev) for ev in members), default=0)
-        taz_ids.append(z.id)
-        if need == 0:
-            choices.append([None])
-        else:
-            latest = z.departure - need
-            if latest < 1:
-                return None, {}
-            choices.append(list(range(1, latest + 1)))
+    windows = eevc.start_windows(scenario)
+    if not all(windows.values()):
+        return None, {}
+    taz_ids = [z.id for z in scenario.tazs]
+    choices: List[List[Optional[int]]] = [list(windows.get(z, [None])) for z in taz_ids]
     n_tuples = 1
     for c in choices:
         n_tuples *= len(c)

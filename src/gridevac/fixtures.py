@@ -37,3 +37,13 @@ def weak_feeder(seed: int = 7):
         T=16, beta=4, base_kva=150.0, impedance_scale=6.0, load_scale=0.5,
     )
     return generate_synthetic_feeder(spec)
+
+
+def mid_feeder(seed: int = 1):
+    """20-bus three-phase feeder, 3 TAZs x 4 EVs, T=24: the shape of the
+    benchmark's mid feeder, whose generator seed it takes."""
+    spec = FeederSpec(
+        n_buses=20, phases="abc", n_tazs=3, evs_per_taz=4, seed=seed,
+        T=24, beta=4, impedance_scale=6.0, load_scale=0.5,
+    )
+    return generate_synthetic_feeder(spec)

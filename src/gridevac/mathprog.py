@@ -579,7 +579,10 @@ def _solve_highs(prog: Program,
     integrality = np.array(
         [0 if relax_binaries or v.kind != "binary" else 1 for v in prog.variables]
     )
-    options = {}
+    # A zero gap proves the optimum, not just a point within 1e-4 of it: the
+    # scheduling program's tie-break between equal-gamma schedules is worth
+    # less than HiGHS's default relative gap.
+    options = {"mip_rel_gap": 0.0}
     if node_limit is not None:
         options["node_limit"] = int(node_limit)
     res = _milp(
@@ -605,7 +608,7 @@ def _solve_highs(prog: Program,
 # ---------------------------------------------------------------------------
 
 def solve_milp(prog: Program, node_limit: int = 200000,
-               gap_tol: float = 1e-6, backend: str = "auto") -> Solution:
+               gap_tol: float = 1e-6, backend: str = "highs") -> Solution:
     """Branch-and-bound on binary variables.
 
     backend 'builtin' is the depth-first B&B below: LP relaxations replace
@@ -613,16 +616,9 @@ def solve_milp(prog: Program, node_limit: int = 200000,
     simplex runs), branching picks the most fractional binary, and the child
     on the rounded-nearest side is explored first; all tie breaks use
     declaration order, so solves are deterministic. backend 'highs' (the
-    'auto' choice when scipy is importable) delegates to scipy's HiGHS MILP
-    solver behind the identical contract.
+    default) delegates to scipy's HiGHS MILP solver behind the identical
+    contract, at a zero relative gap.
     """
-    if backend == "auto":
-        try:
-            import scipy.optimize  # noqa: F401
-
-            backend = "highs"
-        except ImportError:
-            backend = "builtin"
     if backend == "highs":
         sol = _solve_highs(prog, node_limit=node_limit)
         if sol.status == "optimal":

@@ -340,6 +340,10 @@ class ScenarioData:
         """Number of charging steps needed to bring the EV to full."""
         return round((1.0 - ev.soc0) * self.beta)
 
+    def taz_charge_steps(self, taz_id: str) -> int:
+        """Length of the TAZ's charging window: the steps its emptiest EV needs."""
+        return max((self.charge_steps(ev) for ev in self.evs_of_taz(taz_id)), default=0)
+
 
 # ---------------------------------------------------------------------------
 # File ingestion

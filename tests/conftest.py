@@ -6,7 +6,6 @@ import pytest
 
 import gridevac
 from gridevac import fixtures, powerflow
-from gridevac.netmodel import FeederSpec, generate_synthetic_feeder
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -38,9 +37,7 @@ def weak():
 @pytest.fixture(scope="session")
 def mid():
     """20-bus three-phase feeder shaped like the benchmark's mid feeder."""
-    return generate_synthetic_feeder(FeederSpec(
-        n_buses=20, phases="abc", n_tazs=3, evs_per_taz=4, impedance_scale=6.0,
-        seed=1, T=24, beta=4, load_scale=0.5))
+    return fixtures.mid_feeder()
 
 
 @pytest.fixture

@@ -133,6 +133,43 @@ class TestDrawSamples:
         assert default_sample_count(scn) == max(2 * len(scn.ev_buses) + 10, 30)
 
 
+class TestDrawReachableSamples:
+    @staticmethod
+    def _patterns(scn, z):
+        """Every on/off pattern of a TAZ's EVs that a start can reach."""
+        steps = [scn.charge_steps(ev) for ev in scn.evs_of_taz(z.id)]
+        return {tuple(k < w for w in steps) for k in range(scn.taz_charge_steps(z.id))}
+
+    def test_every_column_is_reachable(self, mid):
+        _, scn = mid
+        samples = cla.draw_reachable_samples(scn, 60, seed=4)
+        assert samples.ev_states.shape == (len(scn.evs), 60)
+        assert not samples.ev_states[:, 0].any()
+        assert samples.ev_states[:, 1].all()
+        assert np.array_equal(samples.p_matrix, cla._states_to_p(scn, samples.ev_states))
+        seen = {z.id: set() for z in scn.tazs}
+        for m in range(2, 60):
+            for z in scn.tazs:
+                rows = [scn.evs.index(ev) for ev in scn.evs_of_taz(z.id)]
+                pattern = tuple(bool(x) for x in samples.ev_states[rows, m])
+                if any(pattern):
+                    assert pattern in self._patterns(scn, z)
+                seen[z.id].add(any(pattern))
+        assert all(flags == {False, True} for flags in seen.values())
+
+    def test_deterministic(self, mid):
+        _, scn = mid
+        a = cla.draw_reachable_samples(scn, 40, seed=3)
+        b = cla.draw_reachable_samples(scn, 40, seed=3)
+        assert np.array_equal(a.ev_states, b.ev_states)
+        assert not np.array_equal(a.ev_states, cla.draw_reachable_samples(scn, 40, seed=4).ev_states)
+
+    def test_m_too_small_rejected(self, weak):
+        _, scn = weak
+        with pytest.raises(ClaError, match="too small"):
+            cla.draw_reachable_samples(scn, len(scn.ev_buses) + 1, seed=0)
+
+
 class TestComputeTargets:
     def test_all_off_column_equals_base_case(self, tiny):
         _, scn = tiny

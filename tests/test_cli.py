@@ -239,3 +239,27 @@ class TestSampleFitOracle:
         doc = json.loads(out.read_text())
         assert doc["gamma_opt"] == 9.0  # pinned tiny-fixture optimum
         assert set(doc["starts"]) == {"taz0"}
+
+
+class TestInProcessExitCodes:
+    """``cli.main`` returns each command's exit code; it raises no SystemExit,
+    so an in-process caller gets the code back."""
+
+    def test_main_returns_exit_codes(self, tiny_dir, weak_dir, tmp_path):
+        from gridevac import cli
+
+        def main(*args):
+            return cli.main([str(a) for a in args])
+
+        assert main("oracle", *scenario_args(tiny_dir), "--lambda-max", 0) == 0
+        tazs = tmp_path / "tazs.csv"
+        tazs.write_text("taz_id,departure_t\ntaz0,1\n")
+        assert main("solve", "--network", tiny_dir / "network.json",
+                    "--loads", tiny_dir / "loads.csv",
+                    "--evs", tiny_dir / "evs.csv", "--tazs", tazs,
+                    "--config", tiny_dir / "config.json",
+                    "--out", tmp_path / "infeasible", "--seed", 1) == 2
+        assert main("solve", *scenario_args(weak_dir), "--out", tmp_path / "limit",
+                    "--seed", 1, "--lambda-max", 0, "--max-iters", 1) == 3
+        assert main("sweep", *scenario_args(weak_dir), "--out", tmp_path / "sweep",
+                    "--seed", 1, "--lambdas", "0", "--max-iters", 1) == 3

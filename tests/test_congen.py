@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gridevac import cla, congen, powerflow
+from gridevac import cla, congen, fixtures, powerflow
 from gridevac.cla import GridOracle
 from gridevac.congen import (
     CongenConfig, CongenError, brute_force_oracle, run, schedule_from_starts,
@@ -114,10 +114,8 @@ class TestRun:
         _, reference = powerflow.simulate_schedule(scn, schedule)
         assert report.entries == reference.entries
 
-    def test_refits_only_added_keys_when_no_column_is_added(self, monkeypatch):
-        _, scn = generate_synthetic_feeder(FeederSpec(
-            n_buses=12, phases="abc", n_tazs=3, evs_per_taz=2, impedance_scale=8.0,
-            seed=3, T=16, beta=4, load_scale=0.5))
+    def test_refits_only_added_keys_when_no_column_is_added(self, mid, monkeypatch):
+        _, scn = mid
         calls = []
         fit_clas = cla.fit_clas
 
@@ -153,6 +151,46 @@ class TestRun:
                      CongenConfig(seed=0, max_iters=1))
         assert result.status == "iteration_limit"
         assert len(result.trace) == 1
+
+
+class TestLadder:
+    """The benchmark's mid feeder with generator seeds 1-6 at a zero budget:
+    the loop proves the exhaustive optimum within three iterations."""
+
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_mid_reaches_the_oracle_gamma(self, seed):
+        _, scn = fixtures.mid_feeder(seed)
+        scn0 = congen._with_lambda(scn, 0.0)
+        result = run(scn0, CongenConfig(seed=1))
+        gamma_opt, _ = brute_force_oracle(scn0, 0.0)
+        assert result.status == "converged"
+        assert len(result.trace) <= 3
+        assert result.gamma_max == gamma_opt
+
+    def test_heldout_accuracy_on_reachable_samples(self, mid):
+        # The loop's CLAs predict the states schedules reach: on held-out
+        # reachable samples the median relative error of all its fits stays
+        # under 1 %.
+        _, scn = mid
+        scn0 = congen._with_lambda(scn, 0.0)
+        model = run(scn0, CongenConfig(seed=1)).cla_model
+        assert model.functions
+        held_out = cla.draw_reachable_samples(scn0, 24, seed=999)
+        cla.compute_targets(scn0, held_out, sorted({k[0] for k in model.functions}),
+                            sorted({k[1] for k in model.functions}))
+        errors = []
+        for f in model.functions.values():
+            truth = held_out.targets[(f.node, f.t)]
+            errors.append(np.abs(f.a0 + f.a1 @ held_out.p_matrix - truth) / truth)
+        assert np.median(np.concatenate(errors)) <= 0.01
+
+    def test_violated_bound_is_active_at_every_step(self, weak):
+        _, scn = weak
+        result = run(congen._with_lambda(scn, 0.0), CongenConfig(seed=0))
+        keys = set(result.cla_model.functions)
+        assert keys
+        assert keys == {(node, t, sense) for node, _, sense in keys
+                        for t in range(1, scn.T + 1)}
 
 
 class TestBruteForceOracle:

@@ -3,8 +3,8 @@ import pytest
 
 from gridevac import cla, mathprog
 from gridevac.eevc import (
-    EevcInstance, ScheduleError, build_program, decode,
-    schedule_to_demand, validate_schedule,
+    EevcInstance, ScheduleError, build_program, decode, schedule_from_starts,
+    schedule_to_demand, start_windows, validate_schedule,
 )
 from gridevac.netmodel import (
     Bus, Ev, Line, NetworkModel, NodeId, ScenarioData, Taz,
@@ -27,8 +27,18 @@ def _scenario(evs, tazs, T=8, beta=4, n_buses=2):
                         tazs=tuple(tazs), evs=tuple(evs), T=T, beta=beta)
 
 
-def _solve(scn, backend="auto"):
-    inst = EevcInstance(scenario=scn, include_grid=False)
+def _flat_model(scn, keys, slope=-1.0):
+    """CLAs v2 = 1 + slope * (demand at every EV bus) for the given keys."""
+    model = cla.ClaModel()
+    for node, t, sense in keys:
+        model.add(cla.ClaFunction(node=node, t=t, sense=sense, a0=1.0,
+                                  a1=np.full(len(scn.ev_buses), slope),
+                                  buses=list(scn.ev_buses)))
+    return model
+
+
+def _solve(scn, backend="highs"):
+    inst = EevcInstance(scenario=scn)
     prog = build_program(inst)
     sol = mathprog.solve_milp(prog, backend=backend)
     assert sol.status == "optimal"
@@ -38,7 +48,7 @@ def _solve(scn, backend="auto"):
 class TestBuildProgram:
     def test_naive_program_has_no_slacks(self, tiny):
         _, scn = tiny
-        prog = build_program(EevcInstance(scenario=scn, include_grid=False))
+        prog = build_program(EevcInstance(scenario=scn))
         assert not any(v.name.startswith("lam_") for v in prog.variables)
         assert not any(c.name == "budget" for c in prog.constraints)
 
@@ -48,30 +58,69 @@ class TestBuildProgram:
         schedule, sol = _solve(scn)
         assert schedule.gamma_max == pytest.approx(8.0)
         assert sum(schedule.c_ev["ev0"]) == 0
-        assert sum(schedule.tau) == 0
+        assert schedule.first_start() is None
 
     def test_variable_and_constraint_counts(self, weak):
         # 2 TAZs, T=16, beta=4, 4 EVs: counts from the index sets documented
-        # in the builder docstring.
+        # in the builder docstring, one binary per TAZ and feasible start.
         _, scn = weak
-        n_taz, T, E = len(scn.tazs), scn.T, len(scn.evs)
-        prog = build_program(EevcInstance(scenario=scn, include_grid=False))
-        assert len(prog.variables) == 1 + T + n_taz * T + 2 * E * T
-        assert len(prog.constraints) == \
-            T + T + E * T + n_taz * T + n_taz * T + 2 * E * T + n_taz
+        n_starts = 0
+        for z in scn.tazs:
+            need = max(scn.charge_steps(ev) for ev in scn.evs_of_taz(z.id))
+            n_starts += z.departure - need
+        prog = build_program(EevcInstance(scenario=scn))
+        assert len(prog.binaries) == n_starts
+        assert len(prog.variables) == 1 + n_starts
+        assert len(prog.constraints) == 2 * len(scn.tazs)
+        keys = ((NodeId("b1", "a"), 3, "under"), (NodeId("b2", "a"), 5, "over"))
+        prog = build_program(EevcInstance(scenario=scn, active_constraints=keys),
+                             _flat_model(scn, keys))
+        assert len(prog.binaries) == n_starts
+        assert len(prog.variables) == 1 + n_starts + len(keys)
+        assert len(prog.constraints) == 2 * len(scn.tazs) + len(keys) + 1
+
+    def test_surrogate_row_charges_the_evs_a_start_turns_on(self, weak):
+        # The coefficient of x_{z,s} in the row of (node, t) is the CLA's
+        # weighted demand of the EVs that the start s of z has charging at t.
+        _, scn = weak
+        keys = tuple((NodeId("b3", "a"), t, "under") for t in (2, 7, 12))
+        model = _flat_model(scn, keys, slope=-2.0)
+        prog = build_program(EevcInstance(scenario=scn, active_constraints=keys), model)
+        rows = {c.name: c for c in prog.constraints}
+        for node, t, _ in keys:
+            row = rows[f"vmin_{node.bus}_{node.phase}_{t}"]
+            expected = {}
+            for z, window in start_windows(scn).items():
+                for s in window:
+                    on = schedule_from_starts(scn, {z: s}).ev_states_at(t, scn)
+                    coef = -2.0 * scn.rate_pu * sum(on)
+                    if coef:
+                        expected[f"x_{z}_{s}"] = coef
+            slack = row.terms.pop(f"lam_under_{node.bus}_{node.phase}_{t}")
+            assert slack == 1.0
+            assert row.terms == pytest.approx(expected, rel=1e-12)
+            assert row.rhs == scn.v_min - 1.0
+
+    def test_tie_break_stays_below_one_step_of_gamma(self, three_phase):
+        _, scn = three_phase
+        prog = build_program(EevcInstance(scenario=scn))
+        windows = start_windows(scn)
+        eps = 1.0 / (1 + sum(max(w) for w in windows.values()))
+        for z, window in windows.items():
+            for s in window:
+                assert prog.objective[f"x_{z}_{s}"] == eps * s
+        # The largest tie-break, every TAZ at its latest start, is below 1.
+        assert sum(prog.objective[f"x_{z}_{max(w)}"] for z, w in windows.items()) < 1.0
 
     def test_grid_rows_require_fitted_cla(self, weak):
         _, scn = weak
         inst = EevcInstance(scenario=scn,
                             active_constraints=((NodeId("b1", "a"), 3, "under"),),
-                            lambda_max=0.0, include_grid=True)
+                            lambda_max=0.0)
         with pytest.raises(mathprog.ProgramError, match="no CLA"):
             build_program(inst, cla.ClaModel())
-
-    def test_grid_without_constraints_rejected(self, weak):
-        _, scn = weak
-        with pytest.raises(mathprog.ProgramError):
-            build_program(EevcInstance(scenario=scn, include_grid=True))
+        with pytest.raises(mathprog.ProgramError, match="fitted CLA model"):
+            build_program(inst)
 
 
 class TestDecode:
@@ -86,13 +135,25 @@ class TestDecode:
         assert schedule.gamma_max == pytest.approx(scn.tazs[0].departure - need)
         assert schedule.taz_window("z0") == (4, 6)
 
-    def test_objective_equals_recomputed_gamma(self, tiny):
-        _, scn = tiny
+    def test_objective_equals_recomputed_gamma(self, three_phase):
+        # gamma plus the tie-break eps * (sum of starts), with
+        # eps = 1 / (1 + sum of latest starts).
+        _, scn = three_phase
         schedule, sol = _solve(scn)
-        first = schedule.first_start()
-        expected = float(first) if first is not None else float(scn.T)
-        assert sol.objective == pytest.approx(expected, abs=1e-6)
-        assert schedule.gamma_max == pytest.approx(expected, abs=1e-6)
+        starts = [schedule.taz_window(z.id)[0] for z in scn.tazs]
+        eps = 1.0 / (1 + sum(max(w) for w in start_windows(scn).values()))
+        assert schedule.gamma_max == float(min(starts))
+        assert sol.objective == pytest.approx(min(starts) + eps * sum(starts), abs=1e-9)
+
+    def test_naive_starts_are_the_latest(self, three_phase):
+        # Without grid rows the tie-break puts every TAZ at its latest start,
+        # not only the first one.
+        _, scn = three_phase
+        schedule, _ = _solve(scn)
+        windows = start_windows(scn)
+        assert len(windows) == 2
+        for z, window in windows.items():
+            assert schedule.taz_window(z)[0] == max(window)
 
     def test_battery_recursion_exact(self, tiny):
         _, scn = tiny
@@ -108,21 +169,40 @@ class TestDecode:
 
     def test_non_binary_solution_rejected(self, tiny):
         _, scn = tiny
-        inst = EevcInstance(scenario=scn, include_grid=False)
+        inst = EevcInstance(scenario=scn)
         prog = build_program(inst)
         sol = mathprog.solve_milp(prog)
-        sol.values[f"tau_{scn.T}"] = 0.4
+        sol.values[prog.binaries[0]] = 0.4
         with pytest.raises(ScheduleError, match="not within"):
+            decode(prog, sol, inst)
+
+    def test_two_starts_rejected(self, tiny):
+        _, scn = tiny
+        inst = EevcInstance(scenario=scn)
+        prog = build_program(inst)
+        sol = mathprog.solve_milp(prog)
+        for name in prog.binaries:
+            sol.values[name] = 1.0
+        with pytest.raises(ScheduleError, match="starts chosen"):
             decode(prog, sol, inst)
 
     def test_solver_gamma_after_first_start_rejected(self, tiny):
         _, scn = tiny
-        inst = EevcInstance(scenario=scn, include_grid=False)
+        inst = EevcInstance(scenario=scn)
         prog = build_program(inst)
         sol = mathprog.solve_milp(prog)
         sol.values["gamma"] += 1.0
         with pytest.raises(ScheduleError, match="solver gamma"):
             decode(prog, sol, inst)
+
+    def test_gamma_comes_from_the_starts(self, tiny):
+        _, scn = tiny
+        inst = EevcInstance(scenario=scn)
+        prog = build_program(inst)
+        sol = mathprog.solve_milp(prog)
+        expected = decode(prog, sol, inst).gamma_max
+        sol.values["gamma"] -= 0.5
+        assert decode(prog, sol, inst).gamma_max == expected
 
 
 # The scenarios of test_fully_charged_ev_allows_gamma_T and
@@ -138,28 +218,25 @@ def _single_taz():
 
 
 class TestBackendIndependence:
-    """The decoded schedule must not depend on which optimum a backend returns."""
+    """The decoded schedule must not depend on which optimum a backend returns:
+    the latest-start tie-break leaves one."""
 
-    @pytest.mark.parametrize("case, same_bits", [
+    @pytest.mark.parametrize("case, hand_built", [
         ("fully_charged", True), ("single_taz", True),
         ("tiny", False), ("three_phase", False),
     ])
-    def test_builtin_and_highs_decode_alike(self, request, case, same_bits):
-        pytest.importorskip("scipy.optimize")
-        if case == "fully_charged":
-            scn = _fully_charged()
-        elif case == "single_taz":
-            scn = _single_taz()
+    def test_builtin_and_highs_decode_alike(self, request, case, hand_built):
+        if hand_built:
+            scn = {"fully_charged": _fully_charged, "single_taz": _single_taz}[case]()
         else:
             _, scn = request.getfixturevalue(case)
         builtin, _ = _solve(scn, backend="builtin")
         highs, _ = _solve(scn, backend="highs")
         assert builtin.gamma_max == highs.gamma_max
-        assert builtin.tau == highs.tau
-        if same_bits:
-            # One TAZ: the optimal start, hence every bit, is unique.
-            assert builtin.c_taz == highs.c_taz
-            assert builtin.c_ev == highs.c_ev
+        assert ({z.id: builtin.taz_window(z.id) for z in scn.tazs}
+                == {z.id: highs.taz_window(z.id) for z in scn.tazs})
+        assert builtin.c_taz == highs.c_taz
+        assert builtin.c_ev == highs.c_ev
 
 
 class TestValidateSchedule:
@@ -192,20 +269,18 @@ class TestValidateSchedule:
         with pytest.raises(ScheduleError):
             validate_schedule(schedule, scn)
 
-    def test_tau_set_while_idle_rejected(self):
+    def test_gamma_after_first_start_rejected(self, tiny):
+        scn, schedule = self._valid(tiny)
+        schedule.gamma_max = schedule.first_start() + 1.0
+        with pytest.raises(ScheduleError, match="exceeds"):
+            validate_schedule(schedule, scn)
+
+    def test_gamma_after_T_rejected_while_idle(self):
         scn = _fully_charged()
         schedule, _ = _solve(scn)
         assert schedule.first_start() is None
-        schedule.tau[scn.T - 1] = 1
-        with pytest.raises(ScheduleError, match="tau=1"):
-            validate_schedule(schedule, scn)
-
-    def test_tau_set_before_first_start_rejected(self, tiny):
-        scn, schedule = self._valid(tiny)
-        first = schedule.first_start()
-        assert first is not None and first > 1
-        schedule.tau[first - 2] = 1
-        with pytest.raises(ScheduleError, match="tau=1"):
+        schedule.gamma_max = scn.T + 1.0
+        with pytest.raises(ScheduleError, match="exceeds"):
             validate_schedule(schedule, scn)
 
     def test_slack_budget_enforced(self, tiny):
