@@ -130,17 +130,18 @@ def _write_schedule(outdir: Path, schedule: eevc.ChargeSchedule,
         fh.write(header + "\n")
         w = csv.writer(fh)
         w.writerow(["taz", "t", "charging"])
+        c_taz = schedule.c_taz
         for z in scn.tazs:
             for t in range(1, scn.T + 1):
-                w.writerow([z.id, t, schedule.c_taz[z.id][t - 1]])
+                w.writerow([z.id, t, c_taz[z.id][t - 1]])
     with open(outdir / "evs_schedule.csv", "w", newline="") as fh:
         fh.write(header + "\n")
         w = csv.writer(fh)
         w.writerow(["ev", "t", "charging", "battery"])
+        c_ev, batteries = schedule.c_ev, schedule.batteries
         for ev in scn.evs:
             for t in range(1, scn.T + 1):
-                w.writerow([ev.id, t, schedule.c_ev[ev.id][t - 1],
-                            _fmt(schedule.batteries[ev.id][t])])
+                w.writerow([ev.id, t, c_ev[ev.id][t - 1], _fmt(batteries[ev.id][t])])
     bars = []
     for z in scn.tazs:
         window = schedule.taz_window(z.id)
@@ -344,13 +345,6 @@ def fit(network, loads, evs, tazs, config, m_samples, seed, nodes, times,
           f"to {out}")
 
 
-def _congen_config(m_samples, seed, max_iters, external_solver) -> congen.CongenConfig:
-    return congen.CongenConfig(
-        M=m_samples, seed=seed, max_iters=max_iters,
-        use_external_solver=external_solver,
-    )
-
-
 @cli.command()
 @_scenario_options
 @click.option("--out", required=True, help="Output artifact directory.")
@@ -379,8 +373,9 @@ def solve(network, loads, evs, tazs, config, out, seed, m_samples, lambda_max,
         if naive:
             result = congen.solve_naive(scn)
         else:
-            result = congen.run(scn, _congen_config(m_samples, seed, max_iters,
-                                                    external_solver), oracle=oracle)
+            cfg = congen.CongenConfig(M=m_samples, seed=seed, max_iters=max_iters,
+                                      use_external_solver=external_solver)
+            result = congen.run(scn, cfg, oracle=oracle)
     except (congen.CongenError, cla.ClaError, eevc.ScheduleError,
             powerflow.PowerFlowError) as exc:
         raise CliError(str(exc)) from exc
@@ -424,7 +419,8 @@ def sweep(network, loads, evs, tazs, config, out, seed, m_samples, lambdas,
         _info(f"warning: dropped {len(values) - len(deduped)} duplicate budget value(s)")
     scn = _load_scenario(network, loads, evs, tazs, config)
     prov = _provenance(seed, _scenario_inputs(network, loads, evs, tazs, config))
-    cfg = _congen_config(m_samples, seed, max_iters, external_solver)
+    cfg = congen.CongenConfig(M=m_samples, seed=seed, max_iters=max_iters,
+                              use_external_solver=external_solver)
     oracle = cla.GridOracle(scn)  # v² does not depend on the budget
 
     outdir = Path(out)

@@ -80,7 +80,7 @@ def _simulate(scenario: ScenarioData, schedule: ChargeSchedule, oracle
     report = powerflow.ViolationReport()
     nodes = scenario.network.sorted_nodes
     times = range(1, scenario.T + 1)
-    maps = oracle.voltages([(t, schedule.ev_states_at(t, scenario)) for t in times])
+    maps = oracle.voltages(list(zip(times, schedule.states)))
     for t, v2 in zip(times, maps):
         powerflow.score_violations(v2, t, scenario.v_max, scenario.v_min, report, nodes)
     return report
@@ -133,7 +133,7 @@ def run(scenario: ScenarioData, config: Optional[CongenConfig] = None,
         seen_cols = {tuple(samples.ev_states[:, m]) for m in range(samples.M)}
         violated_ts = sorted({e.t for e in report.entries})
         for t in violated_ts:
-            col = tuple(schedule.ev_states_at(t, scenario))
+            col = tuple(schedule.ev_states_at(t))
             if col not in seen_cols:
                 seen_cols.add(col)
                 new_cols.append(col)
@@ -199,21 +199,20 @@ def _reachable_pairs(scenario: ScenarioData, choices: Sequence[Sequence[Optional
                      ) -> List[Tuple[int, np.ndarray]]:
     """Every (t, EV states) pair that some start tuple reaches, given each
     TAZ's start choices (in ``scenario.tazs`` order): at each t, the product
-    of the TAZs' distinct on/off patterns, since TAZs start independently."""
-    pos = {ev.id: e for e, ev in enumerate(scenario.evs)}
+    of the TAZs' distinct rows of `eevc.charging_states`, since TAZs start
+    independently."""
     tazs = []
     for z, starts in zip(scenario.tazs, choices):
-        members = scenario.evs_of_taz(z.id)
-        tazs.append(([pos[ev.id] for ev in members],
-                     [scenario.charge_steps(ev) for ev in members], starts))
+        idx = [e for e, ev in enumerate(scenario.evs) if ev.taz == z.id]
+        tazs.append((idx, [eevc.charging_states(scenario, {z.id: s})[:, idx]
+                           for s in starts]))
     pairs = []
     for t in range(1, scenario.T + 1):
-        patterns = [dict.fromkeys(tuple(s is not None and s <= t < s + w for w in widths)
-                                  for s in starts)
-                    for _, widths, starts in tazs]
+        patterns = [dict.fromkeys(tuple(rows[t - 1]) for rows in by_start)
+                    for _, by_start in tazs]
         for combo in itertools.product(*patterns):
             states = np.zeros(len(scenario.evs), dtype=bool)
-            for (idx, _, _), pattern in zip(tazs, combo):
+            for (idx, _), pattern in zip(tazs, combo):
                 states[idx] = pattern
             pairs.append((t, states))
     return pairs
@@ -291,27 +290,23 @@ def sweep(scenario: ScenarioData, lambda_values: Sequence[float],
     for lam in values:
         scn = _with_lambda(scenario, lam)
         result = run(scn, config, oracle=oracle)
-        if result.schedule is not None and result.status == "converged":
+        # Only a converged run's schedule is reported; another run's last
+        # schedule may violate its budget.
+        if result.status == "converged":
             report = _simulate(scn, result.schedule, oracle)
-            points.append(SweepPoint(
-                lambda_max=lam,
-                gamma_max=result.schedule.gamma_max,
-                charge_time_steps=scn.T - result.schedule.gamma_max,
-                violation_total=report.total,
-                violation_count=report.count(),
-                iterations=len(result.trace),
-                status=result.status,
-                trace=result.trace,
-            ))
+            steps, total, count = scn.T - result.gamma_max, report.total, report.count()
         else:
-            points.append(SweepPoint(
-                lambda_max=lam, gamma_max=result.gamma_max,
-                charge_time_steps=(scn.T - result.gamma_max
-                                   if result.gamma_max is not None else None),
-                violation_total=None, violation_count=None,
-                iterations=len(result.trace), status=result.status,
-                trace=result.trace,
-            ))
+            steps = total = count = None
+        points.append(SweepPoint(
+            lambda_max=lam,
+            gamma_max=result.gamma_max,
+            charge_time_steps=steps,
+            violation_total=total,
+            violation_count=count,
+            iterations=len(result.trace),
+            status=result.status,
+            trace=result.trace,
+        ))
     return points
 
 

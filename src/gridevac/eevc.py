@@ -21,7 +21,6 @@ from .cla import ClaModel, OVER
 from .netmodel import NodeId, ScenarioData
 
 DECODE_TOL = 1e-6
-BATTERY_TOL = 1e-9
 
 
 class ScheduleError(RuntimeError):
@@ -35,18 +34,23 @@ class EevcInstance:
     lambda_max: float = 0.0
 
 
-@dataclass
+@dataclass(eq=False)
 class ChargeSchedule:
-    """A charging schedule; `gamma_max` is its first charging step (T if idle)."""
+    """A charging schedule: one start per TAZ (None if it never starts) and
+    the charging states they imply, `states[t - 1, e]` being set while EV e
+    (in `scenario.evs` order) charges at step t. `gamma_max` is the first
+    start (T if idle). The per-step lists `c_taz`, `c_ev` and `batteries` are
+    derived from the starts and states."""
 
+    starts: Dict[str, Optional[int]]
     gamma_max: float
-    c_taz: Dict[str, List[int]]  # taz id -> length T
-    c_ev: Dict[str, List[int]]  # ev id -> length T
-    batteries: Dict[str, List[float]]  # ev id -> length T+1 (index 0 = initial)
+    states: np.ndarray  # bool, T x EVs
+    scenario: ScenarioData = field(repr=False)
     predicted_slacks: Dict[Tuple[NodeId, int, str], float] = field(default_factory=dict)
 
-    def ev_states_at(self, t: int, scenario: ScenarioData) -> List[bool]:
-        return [bool(self.c_ev[ev.id][t - 1]) for ev in scenario.evs]
+    def ev_states_at(self, t: int) -> np.ndarray:
+        """The EVs' charging states at step t (a row view of `states`)."""
+        return self.states[t - 1]
 
     @property
     def predicted_slack_sum(self) -> float:
@@ -54,14 +58,37 @@ class ChargeSchedule:
 
     def taz_window(self, taz_id: str) -> Optional[Tuple[int, int]]:
         """(start_t, end_t) inclusive of the TAZ's charging interval, or None."""
-        on = [t for t, bit in enumerate(self.c_taz[taz_id], start=1) if bit]
-        if not on:
+        s = self.starts.get(taz_id)
+        w = self.scenario.taz_charge_steps(taz_id)
+        if s is None or w == 0:
             return None
-        return on[0], on[-1]
+        return s, min(s + w, self.scenario.T + 1) - 1
 
     def first_start(self) -> Optional[int]:
-        starts = [w[0] for w in (self.taz_window(z) for z in self.c_taz) if w]
-        return min(starts) if starts else None
+        return min((w[0] for w in map(self.taz_window, self.starts) if w), default=None)
+
+    @property
+    def c_taz(self) -> Dict[str, List[int]]:
+        """taz id -> 0/1 per step, 1 inside its window."""
+        out = {}
+        for z in self.scenario.tazs:
+            w = self.taz_window(z.id)
+            out[z.id] = [int(w is not None and w[0] <= t <= w[1])
+                         for t in range(1, self.scenario.T + 1)]
+        return out
+
+    @property
+    def c_ev(self) -> Dict[str, List[int]]:
+        """ev id -> 0/1 per step."""
+        return {ev.id: col for ev, col in zip(self.scenario.evs,
+                                              self.states.T.astype(int).tolist())}
+
+    @property
+    def batteries(self) -> Dict[str, List[float]]:
+        """ev id -> battery levels L^0..L^T (index 0 = initial)."""
+        c_ev = self.c_ev
+        return {ev.id: battery_levels(ev.soc0, c_ev[ev.id], self.scenario.beta)
+                for ev in self.scenario.evs}
 
 
 def battery_levels(soc0: float, on: Sequence[int], beta: int) -> List[float]:
@@ -81,34 +108,28 @@ def start_windows(scn: ScenarioData) -> Dict[str, range]:
             for z in scn.tazs if scn.taz_charge_steps(z.id) > 0}
 
 
+def charging_states(scenario: ScenarioData, starts: Dict[str, Optional[int]]
+                    ) -> np.ndarray:
+    """The (T, EVs) bool array of charging states that one start per TAZ
+    implies: a start s turns EV e on for s <= t < s + w_e, w_e being its
+    charge steps, so it charges until full (or until T). A TAZ whose start is
+    None or missing never charges."""
+    T = scenario.T
+    s = np.array([T + 1 if starts.get(ev.taz) is None else starts[ev.taz]
+                  for ev in scenario.evs], dtype=np.int64)
+    w = np.array([scenario.charge_steps(ev) for ev in scenario.evs], dtype=np.int64)
+    t = np.arange(1, T + 1, dtype=np.int64)[:, None]
+    return (s <= t) & (t < s + w)
+
+
 def schedule_from_starts(scenario: ScenarioData, starts: Dict[str, Optional[int]]
                          ) -> ChargeSchedule:
-    """Build the unique schedule implied by one start time per TAZ.
-
-    Every EV of a starting TAZ charges from the start until full; a TAZ whose
-    EVs are all full has start None.
-    """
-    T = scenario.T
-    c_taz = {}
-    c_ev = {}
-    batteries = {}
-    for z in scenario.tazs:
-        s = starts.get(z.id)
-
-        def window(w):
-            on = [0] * T
-            if s is not None:
-                on[s - 1:s - 1 + w] = [1] * min(w, T - s + 1)
-            return on
-
-        c_taz[z.id] = window(scenario.taz_charge_steps(z.id))
-        for ev in scenario.evs_of_taz(z.id):
-            c_ev[ev.id] = window(scenario.charge_steps(ev))
-            batteries[ev.id] = battery_levels(ev.soc0, c_ev[ev.id], scenario.beta)
-    # gamma_max is the first start, or T when nothing charges.
-    first = min((s for s in starts.values() if s is not None), default=T)
-    return ChargeSchedule(gamma_max=float(first), c_taz=c_taz, c_ev=c_ev,
-                          batteries=batteries)
+    """Build the unique schedule implied by one start time per TAZ: every EV
+    of a starting TAZ charges from the start until full; a TAZ whose EVs are
+    all full has start None."""
+    first = min((s for s in starts.values() if s is not None), default=scenario.T)
+    return ChargeSchedule(starts=dict(starts), gamma_max=float(first),
+                          states=charging_states(scenario, starts), scenario=scenario)
 
 
 def _start_var(taz_id: str, s: int) -> str:
@@ -157,9 +178,15 @@ def build_program(inst: EevcInstance, cla_model: Optional[ClaModel] = None
     if cla_model is None:
         raise mathprog.ProgramError("grid constraints need a fitted CLA model")
     r = scn.rate_pu
-    evs_at_bus: Dict[str, List] = {}
-    for ev in scn.evs:
-        evs_at_bus.setdefault(ev.node.bus, []).append(ev)
+    # on_starts[e][t - 1]: the starts of EV e's TAZ that have it charging at t.
+    on_starts = [[[] for _ in range(scn.T)] for _ in scn.evs]
+    for z, window in windows.items():
+        for s in window:
+            for t, e in zip(*np.nonzero(charging_states(scn, {z: s}))):
+                on_starts[e][t].append(s)
+    evs_at_bus: Dict[str, List[int]] = {}
+    for e, ev in enumerate(scn.evs):
+        evs_at_bus.setdefault(ev.node.bus, []).append(e)
     for key in inst.active_constraints:
         node, t, sense = key
         if key not in cla_model:
@@ -172,12 +199,10 @@ def build_program(inst: EevcInstance, cla_model: Optional[ClaModel] = None
             coef = f.a1[k] * r
             if coef == 0.0:
                 continue
-            for ev in evs_at_bus.get(bus, []):
-                w = scn.charge_steps(ev)
-                for s in windows.get(ev.taz, ()):
-                    if s <= t < s + w:
-                        x = _start_var(ev.taz, s)
-                        terms[x] = terms.get(x, 0.0) + coef
+            for e in evs_at_bus.get(bus, []):
+                for s in on_starts[e][t - 1]:
+                    x = _start_var(scn.evs[e].taz, s)
+                    terms[x] = terms.get(x, 0.0) + coef
         if sense == OVER:
             terms[sname] = -1.0
             prog.add_constraint(f"vmax_{node.bus}_{node.phase}_{t}", terms, "<=",
@@ -236,28 +261,25 @@ def _check_window(what: str, bits: Sequence[int], need: int) -> None:
 
 def validate_schedule(schedule: ChargeSchedule, scn: ScenarioData,
                       lambda_max: float = math.inf) -> None:
-    """Assert every charging-logic invariant on a decoded schedule."""
-    for ev in scn.evs:
-        batt = schedule.batteries[ev.id]
-        c = schedule.c_ev[ev.id]
-        # Exact battery recursion: L_t = soc0 + sum_{t'<t} c_{t'} / beta.
-        for t, expect in enumerate(battery_levels(ev.soc0, c, scn.beta)):
-            if abs(batt[t] - expect) > BATTERY_TOL:
-                raise ScheduleError(
-                    f"EV {ev.id}: battery recursion broken at t={t} "
-                    f"({batt[t]!r} vs {expect!r})")
+    """Assert every charging-logic invariant on a schedule's stored states."""
+    if schedule.states.shape != (scn.T, len(scn.evs)):
+        raise ScheduleError(f"states of shape {schedule.states.shape}, expected "
+                            f"{(scn.T, len(scn.evs))}")
+    c_taz = schedule.c_taz
+    for ev, c in zip(scn.evs, schedule.states.T.astype(int).tolist()):
         # Charges the (1-soc0)*beta steps to full, in one run, by departure.
         _check_window(f"EV {ev.id}", c, scn.charge_steps(ev))
         d = scn.taz(ev.taz).departure
-        if abs(batt[d] - 1.0) > DECODE_TOL:
+        full = battery_levels(ev.soc0, c, scn.beta)[d]
+        if abs(full - 1.0) > DECODE_TOL:
             raise ScheduleError(
-                f"EV {ev.id}: battery {batt[d]!r} at departure t={d}, expected 1")
+                f"EV {ev.id}: battery {full!r} at departure t={d}, expected 1")
         # EV charges only while its TAZ charges.
-        for t, (on, taz_on) in enumerate(zip(c, schedule.c_taz[ev.taz]), start=1):
+        for t, (on, taz_on) in enumerate(zip(c, c_taz[ev.taz]), start=1):
             if on > taz_on:
                 raise ScheduleError(f"EV {ev.id} charges at t={t} while TAZ idle")
     for z in scn.tazs:
-        _check_window(f"TAZ {z.id}", schedule.c_taz[z.id], scn.taz_charge_steps(z.id))
+        _check_window(f"TAZ {z.id}", c_taz[z.id], scn.taz_charge_steps(z.id))
     # gamma is no later than the first start (T if nothing charges).
     latest = float(schedule.first_start() or scn.T)
     if schedule.gamma_max > latest + DECODE_TOL:
@@ -266,19 +288,3 @@ def validate_schedule(schedule: ChargeSchedule, scn: ScenarioData,
     if schedule.predicted_slack_sum > lambda_max + DECODE_TOL:
         raise ScheduleError(
             f"predicted slack sum {schedule.predicted_slack_sum} > budget {lambda_max}")
-
-
-def schedule_to_demand(schedule: ChargeSchedule, scn: ScenarioData
-                       ) -> Dict[int, np.ndarray]:
-    """Per-t per-bus EV demand vectors (per-unit), bus order = scn.ev_buses."""
-    buses = scn.ev_buses
-    idx = {b: i for i, b in enumerate(buses)}
-    r = scn.rate_pu
-    out = {}
-    for t in range(1, scn.T + 1):
-        vec = np.zeros(len(buses))
-        for ev in scn.evs:
-            if schedule.c_ev[ev.id][t - 1]:
-                vec[idx[ev.node.bus]] += r
-        out[t] = vec
-    return out

@@ -246,8 +246,7 @@ def simulate_states(scenario: ScenarioData,
 
 def simulate_schedule(scenario: ScenarioData, schedule):
     """Time-series simulation of a decoded charge schedule."""
-    states = {t: schedule.ev_states_at(t, scenario) for t in range(1, scenario.T + 1)}
-    return simulate_states(scenario, states)
+    return simulate_states(scenario, dict(enumerate(schedule.states, start=1)))
 
 
 def base_case_violations(scenario: ScenarioData) -> ViolationReport:

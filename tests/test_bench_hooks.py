@@ -1,19 +1,21 @@
-"""Names the benchmark's tracer relies on.
+"""Names the benchmark relies on.
 
 ``bench/tracing.py`` wraps gridevac functions by attribute path, reads
 ``SampleSet._vcache`` to count cached power-flow maps, and reads the samples
 and time steps of ``cla.compute_targets`` from its positional arguments. A
 name that no longer resolves fails the whole traced run, so these checks keep
-the program and the tracer in step.
+the program and the tracer in step. ``bench/run.py`` checks each command's
+output through the calls pinned at the end of this file.
 """
 
 import dataclasses
 import importlib.util
+import json
 from pathlib import Path
 
 import gridevac
 import gridevac.cli  # noqa: F401  (the tracer wraps cli.main)
-from gridevac import cla, congen
+from gridevac import cla, congen, powerflow
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -54,3 +56,31 @@ def test_loop_passes_samples_and_times_positionally(weak, monkeypatch):
     for args in calls:
         assert isinstance(args[1], cla.SampleSet)
         assert all(1 <= t <= scn.T for t in args[3])
+
+
+def test_oracle_check_resimulates_json_starts(weak):
+    # The oracle check reads the starts back from oracle.json, a str -> int
+    # or None dict, and re-simulates the schedule they imply.
+    _, scn = weak
+    gamma, starts = congen.brute_force_oracle(scn, 0.0)
+    loaded = json.loads(json.dumps({"gamma_opt": gamma, "starts": starts}))
+    assert loaded["starts"] == starts
+    assert float(min(s for s in loaded["starts"].values() if s is not None)) == gamma
+    schedule = congen.schedule_from_starts(scn, loaded["starts"])
+    _, report = powerflow.simulate_schedule(scn, schedule)
+    assert report.total == 0.0
+
+
+def test_solve_check_simulates_per_step_bool_lists(weak):
+    # The solve check rebuilds {t: [bool per EV]} from evs_schedule.csv.
+    _, scn = weak
+    _, starts = congen.brute_force_oracle(scn, 0.0)
+    schedule = congen.schedule_from_starts(scn, starts)
+    c_ev = schedule.c_ev
+    states = {t: [bool(c_ev[ev.id][t - 1]) for ev in scn.evs]
+              for t in range(1, scn.T + 1)}
+    v_map, report = powerflow.simulate_states(scn, states)
+    expected_map, expected = powerflow.simulate_schedule(scn, schedule)
+    assert v_map == expected_map
+    assert report.entries == expected.entries
+    assert report.total == 0.0

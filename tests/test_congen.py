@@ -21,7 +21,7 @@ def _reachable_by_enumeration(scn):
     pairs = set()
     for combo in itertools.product(*choices):
         schedule = schedule_from_starts(scn, dict(zip((z.id for z in scn.tazs), combo)))
-        pairs.update((t, tuple(schedule.ev_states_at(t, scn)))
+        pairs.update((t, tuple(schedule.ev_states_at(t)))
                      for t in range(1, scn.T + 1))
     return pairs
 
@@ -347,6 +347,17 @@ class TestSweep:
         assert points[1].gamma_max == naive.trace[0].gamma_max
         # Right endpoint violation total equals the naive schedule's total.
         assert points[1].violation_total == pytest.approx(naive_total)
+
+    def test_unconverged_budget_reports_no_charge_time(self, weak):
+        # One iteration at lambda=0 stops at the iteration limit with a
+        # schedule that violates; like sweep.csv, the point leaves its charge
+        # time blank.
+        _, scn = weak
+        point, = sweep(scn, [0.0], CongenConfig(seed=0, max_iters=1))
+        assert point.status == "iteration_limit"
+        assert point.gamma_max is not None
+        assert point.charge_time_steps is None
+        assert point.violation_total is None and point.violation_count is None
 
     def test_unsorted_values_rejected(self, weak):
         _, scn = weak

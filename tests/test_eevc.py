@@ -1,10 +1,13 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gridevac import cla, mathprog
+from gridevac import cla, fixtures, mathprog
 from gridevac.eevc import (
-    EevcInstance, ScheduleError, build_program, decode, schedule_from_starts,
-    schedule_to_demand, start_windows, validate_schedule,
+    EevcInstance, ScheduleError, battery_levels, build_program, decode,
+    schedule_from_starts, start_windows, validate_schedule,
 )
 from gridevac.netmodel import (
     Bus, Ev, Line, NetworkModel, NodeId, ScenarioData, Taz,
@@ -81,7 +84,8 @@ class TestBuildProgram:
 
     def test_surrogate_row_charges_the_evs_a_start_turns_on(self, weak):
         # The coefficient of x_{z,s} in the row of (node, t) is the CLA's
-        # weighted demand of the EVs that the start s of z has charging at t.
+        # weighted demand of the EVs that the start s of z has charging at t,
+        # taken from the list-building reference schedule.
         _, scn = weak
         keys = tuple((NodeId("b3", "a"), t, "under") for t in (2, 7, 12))
         model = _flat_model(scn, keys, slope=-2.0)
@@ -92,8 +96,8 @@ class TestBuildProgram:
             expected = {}
             for z, window in start_windows(scn).items():
                 for s in window:
-                    on = schedule_from_starts(scn, {z: s}).ev_states_at(t, scn)
-                    coef = -2.0 * scn.rate_pu * sum(on)
+                    c_ev = _reference_schedule(scn, {z: s})[1]
+                    coef = -2.0 * scn.rate_pu * sum(c[t - 1] for c in c_ev.values())
                     if coef:
                         expected[f"x_{z}_{s}"] = coef
             slack = row.terms.pop(f"lam_under_{node.bus}_{node.phase}_{t}")
@@ -217,6 +221,81 @@ def _single_taz():
     return _scenario(evs, [Taz("z0", 7)], T=8, beta=4)
 
 
+def _full_and_partial():
+    """One TAZ with nothing to charge next to one with two EVs to charge."""
+    evs = [Ev("ev0", "z0", NodeId("b1", "a"), 1.0),
+           Ev("ev1", "z1", NodeId("b1", "a"), 0.25),
+           Ev("ev2", "z1", NodeId("b1", "a"), 0.5)]
+    return _scenario(evs, [Taz("z0", 8), Taz("z1", 8)], T=8, beta=4)
+
+
+_CASES = {
+    "tiny": lambda: fixtures.tiny_feeder()[1],
+    "three_phase": lambda: fixtures.three_phase_feeder()[1],
+    "mid": lambda: fixtures.mid_feeder()[1],
+    "full_and_partial": _full_and_partial,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _case(name):
+    return _CASES[name]()
+
+
+def _reference_schedule(scenario, starts):
+    """The list-building schedule builder that the state array replaced:
+    (c_taz, c_ev, batteries, gamma_max) of one start per TAZ."""
+    T = scenario.T
+    c_taz, c_ev, batteries = {}, {}, {}
+    for z in scenario.tazs:
+        s = starts.get(z.id)
+
+        def window(w):
+            on = [0] * T
+            if s is not None:
+                on[s - 1:s - 1 + w] = [1] * min(w, T - s + 1)
+            return on
+
+        c_taz[z.id] = window(scenario.taz_charge_steps(z.id))
+        for ev in scenario.evs_of_taz(z.id):
+            c_ev[ev.id] = window(scenario.charge_steps(ev))
+            batteries[ev.id] = battery_levels(ev.soc0, c_ev[ev.id], scenario.beta)
+    first = min((s for s in starts.values() if s is not None), default=T)
+    return c_taz, c_ev, batteries, float(first)
+
+
+class TestScheduleFromStarts:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_list_building_reference(self, data):
+        # Any start in 1..T, so windows may run past T and are clipped; None
+        # and missing starts never charge.
+        scn = _case(data.draw(st.sampled_from(sorted(_CASES)), label="case"))
+        starts = {}
+        for z in scn.tazs:
+            s = data.draw(st.one_of(st.just("missing"), st.none(),
+                                    st.integers(1, scn.T)), label=z.id)
+            if s != "missing":
+                starts[z.id] = s
+        schedule = schedule_from_starts(scn, starts)
+        c_taz, c_ev, batteries, gamma = _reference_schedule(scn, starts)
+        assert schedule.states.shape == (scn.T, len(scn.evs))
+        assert schedule.c_taz == c_taz
+        assert schedule.c_ev == c_ev
+        assert schedule.batteries == batteries
+        assert schedule.gamma_max == gamma
+        windows = {}
+        for z, bits in c_taz.items():
+            on = [t for t, bit in enumerate(bits, start=1) if bit]
+            windows[z] = (on[0], on[-1]) if on else None
+            assert schedule.taz_window(z) == windows[z]
+        assert schedule.first_start() == min(
+            (w[0] for w in windows.values() if w), default=None)
+        for t in range(1, scn.T + 1):
+            assert schedule.ev_states_at(t).tolist() == [
+                bool(c_ev[ev.id][t - 1]) for ev in scn.evs]
+
+
 class TestBackendIndependence:
     """The decoded schedule must not depend on which optimum a backend returns:
     the latest-start tie-break leaves one."""
@@ -247,26 +326,26 @@ class TestValidateSchedule:
 
     def test_tampered_noncontiguous_charging_rejected(self, tiny):
         scn, schedule = self._valid(tiny)
-        ev = max(scn.evs, key=scn.charge_steps)
-        c = schedule.c_ev[ev.id]
-        on = [t for t in range(1, scn.T + 1) if c[t - 1]]
-        assert len(on) >= 2
+        e = max(range(len(scn.evs)), key=lambda e: scn.charge_steps(scn.evs[e]))
+        on = np.flatnonzero(schedule.states[:, e])
+        assert len(on) >= 2 and on[0] >= 1
         # Move the first charging step one slot earlier -> gap.
-        c[on[0] - 1] = 0
-        c[on[0] - 2] = 1
-        schedule.batteries[ev.id] = [ev.soc0] + [
-            ev.soc0 + sum(c[:t - 1]) / scn.beta for t in range(1, scn.T + 1)]
-        with pytest.raises(ScheduleError):
+        schedule.states[on[0], e] = False
+        schedule.states[on[0] - 1, e] = True
+        with pytest.raises(ScheduleError, match="consecutive"):
             validate_schedule(schedule, scn)
 
     def test_ev_charging_outside_taz_window_rejected(self, tiny):
+        # Shift an EV's whole run one step before its TAZ starts: still one
+        # run of its charge steps, full by departure, but outside the window.
         scn, schedule = self._valid(tiny)
-        ev = scn.evs[0]
-        z = ev.taz
-        t_idle = next(t for t in range(1, scn.T + 1)
-                      if not schedule.c_taz[z][t - 1])
-        schedule.c_ev[ev.id][t_idle - 1] = 1
-        with pytest.raises(ScheduleError):
+        e = 0
+        on = np.flatnonzero(schedule.states[:, e])
+        assert len(on) >= 1 and on[0] >= 1
+        assert on[0] + 1 == schedule.taz_window(scn.evs[e].taz)[0]
+        schedule.states[on[-1], e] = False
+        schedule.states[on[0] - 1, e] = True
+        with pytest.raises(ScheduleError, match="while TAZ idle"):
             validate_schedule(schedule, scn)
 
     def test_gamma_after_first_start_rejected(self, tiny):
@@ -289,26 +368,3 @@ class TestValidateSchedule:
         with pytest.raises(ScheduleError, match="budget"):
             validate_schedule(schedule, scn, lambda_max=0.1)
         validate_schedule(schedule, scn, lambda_max=1.0)
-
-
-class TestScheduleToDemand:
-    def test_zero_when_idle_and_conservation(self, tiny):
-        _, scn = tiny
-        schedule, _ = _solve(scn)
-        demand = schedule_to_demand(schedule, scn)
-        total_steps = sum(vec.sum() for vec in demand.values()) / scn.rate_pu
-        assert total_steps == pytest.approx(
-            sum(scn.charge_steps(ev) for ev in scn.evs))
-        for t, vec in demand.items():
-            if not any(schedule.c_ev[ev.id][t - 1] for ev in scn.evs):
-                assert np.all(vec == 0.0)
-
-    def test_three_evs_one_bus(self):
-        evs = [Ev(f"ev{i}", "z0", NodeId("b1", "a"), 0.75) for i in range(3)]
-        scn = _scenario(evs, [Taz("z0", 8)], T=8, beta=4)
-        schedule, _ = _solve(scn)
-        demand = schedule_to_demand(schedule, scn)
-        t_on = next(t for t in range(1, scn.T + 1)
-                    if schedule.c_ev["ev0"][t - 1])
-        # 3 EVs x 7.5 kW = 22.5 kW at the shared bus.
-        assert demand[t_on][0] * scn.network.base_kva == pytest.approx(22.5)
